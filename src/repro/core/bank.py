@@ -12,15 +12,20 @@ One :class:`StreamState` holds
 The update rule per element x (Algorithm 1, line 5): for each guess μ with
 ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``, add x to ``S_μ``. Acceptance is
 evaluated against the *blind* bank and the bank of x's own group only, exactly
-as in Algorithms 2/3.
+as in Algorithms 2/3. :meth:`StreamState.update` first drops, per chunk, the
+rows that :func:`keep_mask` shows no candidate can accept, then applies the
+rule to the rest in order.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..metrics import Metric
+from ..metrics import Metric, get_metric
 
-__all__ = ["CandidateBank", "StreamState"]
+__all__ = ["CandidateBank", "StreamState", "keep_mask", "survives_snapshot"]
+
+_CHUNK = 1024  # rows per rejection step of StreamState.update
+_BLOCK_BYTES = 1 << 20  # target size of one keep_mask temporary
 
 
 class CandidateBank:
@@ -129,7 +134,22 @@ class StreamState:
         groups: np.ndarray | None = None,
         ids: np.ndarray | None = None,
     ) -> None:
-        """Process a chunk of the stream in order (chunking never changes state)."""
+        """Process a piece of the stream in order (chunking never changes state).
+
+        Two steps per internal chunk of ``_CHUNK`` rows:
+
+        1. :func:`keep_mask` rejects, in one vectorized pass, every row the
+           start-of-chunk state rejects. Exactly safe: candidates only grow
+           and ``d(x, S)`` only shrinks, so such a row is rejected forever.
+           The kernel computes distances with :meth:`Metric.rows_to_rows`,
+           the same arithmetic as ``point_to_rows``, so it never rejects a
+           row at a tie the per-element test would accept.
+        2. The survivors go through the exact per-element test
+           (``point_to_rows`` + ``accept_mask``) in stream order.
+
+        Raises ``ValueError`` naming the stream id of the first row with a
+        NaN or infinite feature, before changing any state.
+        """
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
         if groups is None:
@@ -138,43 +158,96 @@ class StreamState:
         if ids is None:
             ids = np.arange(self.n_seen, self.n_seen + b, dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
-        mus = self.mus
-        for r in range(b):
-            x, grp, eid = feats[r], int(groups[r]), int(ids[r])
-            dists = self.metric.point_to_rows(x, self._feats[: self.n_stored])
-            acc_b = self.blind.accept_mask(dists, mus, self.n_stored)
-            gb = self.group_banks.get(grp)
-            acc_g = gb.accept_mask(dists, mus, self.n_stored) if gb is not None else None
-            took_b = bool(acc_b.any())
-            took_g = acc_g is not None and bool(acc_g.any())
-            if took_b or took_g:
-                j = self._append(x, grp, eid)
-                if took_b:
-                    self.blind.member[acc_b, j] = True
-                    self.blind.sizes[acc_b] += 1
-                if took_g:
-                    gb.member[acc_g, j] = True
-                    gb.sizes[acc_g] += 1
-            self.n_seen += 1
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if bad.size:
+            raise ValueError(f"stream id {int(ids[bad[0]])} has a non-finite feature")
+        for lo in range(0, b, _CHUNK):
+            X, G = feats[lo : lo + _CHUNK], groups[lo : lo + _CHUNK]
+            keep = keep_mask(self.metric, self.mus, self.feats, self._banks(), X, G)
+            for r in lo + np.flatnonzero(keep):
+                self._offer(feats[r], int(groups[r]), int(ids[r]))
+        self.n_seen += b
+
+    def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
+        """Algorithm 1, line 5 for one element, against the blind and own-group bank."""
+        dists = self.metric.point_to_rows(x, self._feats[: self.n_stored])
+        acc_b = self.blind.accept_mask(dists, self.mus, self.n_stored)
+        gb = self.group_banks.get(grp)
+        acc_g = gb.accept_mask(dists, self.mus, self.n_stored) if gb is not None else None
+        took_b = bool(acc_b.any())
+        took_g = acc_g is not None and bool(acc_g.any())
+        if took_b or took_g:
+            j = self._append(x, grp, eid)
+            if took_b:
+                self.blind.member[acc_b, j] = True
+                self.blind.sizes[acc_b] += 1
+            if took_g:
+                gb.member[acc_g, j] = True
+                gb.sizes[acc_g] += 1
+
+    def _banks(self) -> list[tuple]:
+        """``(group, member, sizes, cap)`` per bank; group None is the blind bank."""
+        n = self.n_stored
+        return [
+            (g, b.member[:, :n], b.sizes, b.cap)
+            for g, b in [(None, self.blind), *self.group_banks.items()]
+        ]
 
     # -- distributed prefilter ----------------------------------------------
     def snapshot(self) -> dict:
         """Immutable state snapshot for broadcasting to executors."""
-        banks = {
-            int(g): (b.member[:, : self.n_stored].copy(), b.sizes.copy(), b.cap)
-            for g, b in self.group_banks.items()
-        }
         return {
             "metric": self.metric.name,
             "mus": self.mus.copy(),
             "feats": self.feats.copy(),
-            "blind": (
-                self.blind.member[:, : self.n_stored].copy(),
-                self.blind.sizes.copy(),
-                self.blind.cap,
-            ),
-            "banks": banks,
+            "banks": [(g, m.copy(), s.copy(), cap) for g, m, s, cap in self._banks()],
         }
+
+
+def keep_mask(
+    metric: Metric,
+    mus: np.ndarray,
+    store: np.ndarray,
+    banks: list[tuple],
+    feats: np.ndarray,
+    groups: np.ndarray,
+) -> np.ndarray:
+    """The rejection kernel: False where no candidate of the state can accept a row.
+
+    ``banks`` holds ``(group, member, sizes, cap)`` with ``member`` of shape
+    ``(G, len(store))``; group None (the blind bank) sees every row, any
+    other bank only the rows of its group. A row is kept when some non-full
+    candidate ``S_μ`` of a bank it sees has ``d(x, S_μ) >= μ``, the test
+    ``CandidateBank.accept_mask`` makes. Distances come from
+    :meth:`Metric.rows_to_rows`, only to stored rows in some non-full
+    candidate, row-blocked so temporaries stay near ``_BLOCK_BYTES``.
+    """
+    out = np.zeros(len(feats), dtype=bool)
+    for grp, member, sizes, cap in banks:
+        rows = np.arange(len(feats)) if grp is None else np.flatnonzero(groups == grp)
+        nonfull = np.flatnonzero(sizes < cap)
+        if rows.size == 0 or nonfull.size == 0:
+            continue
+        if (sizes[nonfull] == 0).any():  # d(x, ∅) = ∞ accepts every row
+            out[rows] = True
+            continue
+        M = member[nonfull]
+        cols = np.flatnonzero(M.any(axis=0))
+        M = M[:, cols]
+        # Padded (G', width) member positions into ``cols``; the padding
+        # points at column len(cols), which holds +inf.
+        width = int(sizes[nonfull].max())
+        idx = np.argsort(~M, axis=1, kind="stable")[:, :width]
+        idx[np.arange(width)[None, :] >= sizes[nonfull][:, None]] = len(cols)
+        A, mu = store[cols], mus[nonfull]
+        per_row = 8 * max(len(cols) * store.shape[1], idx.size)
+        step = max(1, _BLOCK_BYTES // per_row)
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            D = np.full((r.size, len(cols) + 1), np.inf)
+            D[:, :-1] = metric.rows_to_rows(feats[r], A)
+            out[r] |= (D[:, idx].min(axis=2) >= mu).any(axis=1)
+    return out
 
 
 def survives_snapshot(
@@ -182,40 +255,16 @@ def survives_snapshot(
 ) -> np.ndarray:
     """Vectorized prefilter: True where an element *might* still be accepted.
 
-    Evaluated against a state snapshot. Safe to drop False rows: candidates
-    only grow and ``d(x,S)`` only shrinks, so rejection against an older state
-    implies rejection against every later state (see DESIGN.md §3).
+    :func:`keep_mask` over a state snapshot. Safe to drop False rows:
+    candidates only grow and ``d(x,S)`` only shrinks, so rejection against
+    an older state implies rejection against every later state (see
+    DESIGN.md §3).
     """
-    from ..metrics import get_metric
-
-    metric = get_metric(snap["metric"])
-    mus = snap["mus"]
-    feats = np.asarray(feats, dtype=np.float64)
-    groups = np.asarray(groups, dtype=np.int64)
-    n_b = len(feats)
-    store = snap["feats"]
-    if len(store) == 0:
-        return np.ones(n_b, dtype=bool)
-    D = metric.pairwise(feats, store)  # (B, N)
-    out = np.zeros(n_b, dtype=bool)
-
-    def _bank_pass(member: np.ndarray, sizes: np.ndarray, cap: int, rows: np.ndarray):
-        for g in np.flatnonzero(sizes < cap):
-            idx = np.flatnonzero(member[g])
-            if idx.size == 0:
-                out[rows] = True
-                continue
-            live = rows[~out[rows]]
-            if live.size == 0:
-                return
-            ok = D[np.ix_(live, idx)].min(axis=1) >= mus[g]
-            out[live[ok]] = True
-
-    all_rows = np.arange(n_b)
-    member, sizes, cap = snap["blind"]
-    _bank_pass(member, sizes, cap, all_rows)
-    for grp, (member, sizes, cap) in snap["banks"].items():
-        rows = np.flatnonzero(groups == grp)
-        if rows.size:
-            _bank_pass(member, sizes, cap, rows)
-    return out
+    return keep_mask(
+        get_metric(snap["metric"]),
+        snap["mus"],
+        snap["feats"],
+        snap["banks"],
+        np.asarray(feats, dtype=np.float64),
+        np.asarray(groups, dtype=np.int64),
+    )

@@ -6,6 +6,7 @@ vectorized forms:
 
 * ``pairwise(A, B)`` -> (|A| x |B|) distance matrix,
 * ``point_to_rows(x, A)`` -> (|A|,) distances from one point,
+* ``rows_to_rows(X, A)`` -> the same arithmetic for many points at once,
 
 over float64 numpy arrays with points as rows.
 """
@@ -47,19 +48,32 @@ class Metric:
 
     def point_to_rows(self, x: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Distances from a single point ``x`` to every row of ``A``."""
-        x = np.asarray(x, dtype=np.float64)
+        return self.rows_to_rows(np.asarray(x, dtype=np.float64)[None, :], A)[0]
+
+    def rows_to_rows(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """(|X| x |A|) distances; entry ``[i, j]`` depends on ``X[i]`` and ``A[j]`` only.
+
+        Unlike :meth:`pairwise` (Gram form, BLAS), every sum here is a
+        reduction along the feature axis of an elementwise temporary, so
+        ``rows_to_rows(X, A)[i, j]`` is bit-identical to
+        ``point_to_rows(X[i], A[cols])`` at ``A[j]``'s position, for any
+        ``cols`` — the stream phase relies on this (see DESIGN.md §3).
+        Temporaries are ``|X| x |A| x dim``, so callers block large ``X``.
+        """
+        X = np.asarray(X, dtype=np.float64)
         A = np.asarray(A, dtype=np.float64)
         if A.size == 0:
-            return np.zeros(0)
-        if self.name == "euclidean":
-            diff = A - x[None, :]
-            return np.sqrt((diff * diff).sum(1))
-        if self.name == "manhattan":
-            return np.abs(A - x[None, :]).sum(1)
-        nx = np.linalg.norm(x)
-        na = np.linalg.norm(A, axis=1)
-        denom = np.where(na * nx == 0, 1.0, na * nx)
-        cos = (A @ x) / denom
+            return np.zeros((len(X), 0))
+        if self.name in ("euclidean", "manhattan"):
+            diff = A[None, :, :] - X[:, None, :]
+            if self.name == "manhattan":
+                return np.abs(diff, out=diff).sum(-1)
+            return np.sqrt(np.square(diff, out=diff).sum(-1))
+        nx = np.sqrt((X * X).sum(-1))
+        na = np.sqrt((A * A).sum(-1))
+        prod = na[None, :] * nx[:, None]
+        denom = np.where(prod == 0, 1.0, prod)
+        cos = (A[None, :, :] * X[:, None, :]).sum(-1) / denom
         return np.arccos(np.clip(cos, -1.0, 1.0))
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -20,7 +20,6 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..core.stream_dm import DMResult
-from ..guesses import guess_grid
 from ..metrics import get_metric
 from .._stream_common import make_algo
 
@@ -64,20 +63,14 @@ def run_fair_coreset(
 
     Returns ``(result, coreset_size)``. ``algo`` is ``"sfdm1"`` or ``"sfdm2"``.
     """
-    mus = guess_grid(d_min, d_max, eps)
-    k = sum(ks.values())
-    if algo == "sfdm1":
-        group_caps = {int(g): int(kg) for g, kg in ks.items()}
-    elif algo == "sfdm2":
-        group_caps = {int(g): k for g in ks}
-    else:
-        raise ValueError(f"unknown algo {algo!r}")
-    fn = _partition_coreset_fn(metric, mus, dim, k, tuple(group_caps.items()))
-    core = df.select("id", "group", "features").mapInPandas(fn, schema=df.schema)
-    pdf = core.toPandas().sort_values("id").reset_index(drop=True)
     solver = make_algo(
         algo, metric, ks=ks, eps=eps, d_min=d_min, d_max=d_max, dim=dim
     )
+    st = solver.state
+    group_caps = tuple((g, b.cap) for g, b in st.group_banks.items())
+    fn = _partition_coreset_fn(metric, st.mus, dim, st.k, group_caps)
+    core = df.select("id", "group", "features").mapInPandas(fn, schema=df.schema)
+    pdf = core.toPandas().sort_values("id").reset_index(drop=True)
     solver.update(
         np.stack(pdf["features"].to_numpy()),
         pdf["group"].to_numpy(),

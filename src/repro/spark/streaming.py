@@ -20,6 +20,7 @@ the paper's post-processing runs on the driver over the bounded store only.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,19 @@ STREAM_SCHEMA = T.StructType(
 
 
 def write_stream_input(dataset: Dataset, path: str, *, n_files: int = 8) -> None:
-    """Materialize a dataset as ordered parquet part-files (the stream source)."""
+    """Materialize a dataset as ordered parquet part-files (the stream source).
+
+    The file source reads files in order of modification time, in ms, and
+    files written within one ms in arbitrary order; so file ``i`` is
+    stamped ``n_files - i`` ms before the write began.
+    """
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     os.makedirs(path, exist_ok=True)
     pdf = dataset.to_pandas()
     bounds = np.linspace(0, len(pdf), n_files + 1, dtype=int)
+    t0 = time.time_ns()
     for i in range(n_files):
         chunk = pdf.iloc[bounds[i] : bounds[i + 1]]
         table = pa.Table.from_pydict(
@@ -57,7 +64,10 @@ def write_stream_input(dataset: Dataset, path: str, *, n_files: int = 8) -> None
                 "features": list(chunk["features"]),
             }
         )
-        pq.write_table(table, os.path.join(path, f"batch-{i:05d}.parquet"))
+        out = os.path.join(path, f"batch-{i:05d}.parquet")
+        pq.write_table(table, out)
+        stamp = t0 - (n_files - i) * 1_000_000
+        os.utime(out, ns=(stamp, stamp))
 
 
 @dataclass
@@ -86,6 +96,9 @@ def run_streaming_fdm(
     solver = make_algo(algo, metric, ks=ks, eps=eps, d_min=d_min, d_max=d_max, dim=dim)
     stats = StreamRunStats()
     sc = spark.sparkContext
+    # Rows are counted where the prefilter reads them: a count() of each
+    # micro-batch would run it again as a second job.
+    rows = sc.accumulator(0)
 
     def process_batch(batch_df, batch_id: int) -> None:
         snap = solver.state.snapshot()
@@ -93,6 +106,7 @@ def run_streaming_fdm(
 
         def prefilter(batches):
             for pdf in batches:
+                rows.add(len(pdf))
                 if len(pdf) == 0:
                     continue
                 keep = survives_snapshot(
@@ -110,7 +124,7 @@ def run_streaming_fdm(
             .sort_values("id")
         )
         stats.n_batches += 1
-        stats.n_rows += batch_df.count()
+        stats.n_rows = rows.value
         stats.n_survivors += len(survivors)
         if len(survivors):
             solver.update(

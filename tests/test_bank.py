@@ -1,12 +1,55 @@
 """StreamState / CandidateBank: acceptance semantics, chunk invariance,
-snapshot prefilter safety."""
+snapshot prefilter safety, and the rejection kernel against the per-element
+oracle."""
 import numpy as np
 import pytest
 
-from repro.core.bank import StreamState, survives_snapshot
-from repro.metrics import get_metric
+from repro.core.bank import StreamState, keep_mask, survives_snapshot
+from repro.extent import exact_extent
+from repro.guesses import guess_grid
+from repro.metrics import METRICS, get_metric
 
 MET = get_metric("euclidean")
+
+
+def oracle_update(st, feats, groups=None, ids=None):
+    """Reference stream update: every row through point_to_rows + accept_mask."""
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    b = len(feats)
+    if groups is None:
+        groups = np.zeros(b, dtype=np.int64)
+    groups = np.asarray(groups, dtype=np.int64)
+    if ids is None:
+        ids = np.arange(st.n_seen, st.n_seen + b, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    mus = st.mus
+    for r in range(b):
+        x, grp, eid = feats[r], int(groups[r]), int(ids[r])
+        dists = st.metric.point_to_rows(x, st._feats[: st.n_stored])
+        acc_b = st.blind.accept_mask(dists, mus, st.n_stored)
+        gb = st.group_banks.get(grp)
+        acc_g = gb.accept_mask(dists, mus, st.n_stored) if gb is not None else None
+        took_b = bool(acc_b.any())
+        took_g = acc_g is not None and bool(acc_g.any())
+        if took_b or took_g:
+            j = st._append(x, grp, eid)
+            if took_b:
+                st.blind.member[acc_b, j] = True
+                st.blind.sizes[acc_b] += 1
+            if took_g:
+                gb.member[acc_g, j] = True
+                gb.sizes[acc_g] += 1
+        st.n_seen += 1
+
+
+def assert_same_state(a, b):
+    assert a.n_seen == b.n_seen and a.n_stored == b.n_stored
+    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a.groups, b.groups)
+    assert np.array_equal(a.feats, b.feats)
+    for (ga, ma, sa, _), (gb, mb, sb, _) in zip(a._banks(), b._banks(), strict=True):
+        assert ga == gb
+        assert np.array_equal(ma, mb) and np.array_equal(sa, sb)
 
 
 def make_state(mus=(1.0, 2.0), k=3, caps=None, dim=2):
@@ -151,3 +194,112 @@ def test_snapshot_is_decoupled_from_state():
     n0 = len(snap["feats"])
     st.update(Xb, gb)
     assert len(snap["feats"]) == n0
+
+
+def test_prefilter_keeps_exact_ties():
+    # mu is exactly point_to_rows(b, {a}); the per-element test accepts b
+    # (d >= mu), so the prefilter must keep it in every trial.
+    g = np.random.default_rng(0)
+    for _ in range(50):
+        a, b = g.normal(size=(2, 6))
+        mu = MET.point_to_rows(b, a[None, :])[0]
+        st = StreamState(MET, np.array([mu]), 6, 2)
+        st.update(a[None, :])
+        keep = survives_snapshot(st.snapshot(), b[None, :], np.zeros(1, dtype=int))
+        st.update(b[None, :])
+        assert st.n_stored == 2
+        assert keep[0]
+
+
+def test_survives_snapshot_is_the_kernel():
+    st, Xb, gb = _full_state_and_batch()
+    want = keep_mask(st.metric, st.mus, st.feats, st._banks(), Xb, gb)
+    assert np.array_equal(survives_snapshot(st.snapshot(), Xb, gb), want)
+
+
+# -- bad input ---------------------------------------------------------------
+
+@pytest.mark.parametrize("pos,bad", [(0, np.nan), (37, np.inf), (59, -np.inf)])
+def test_non_finite_row_rejected_with_its_id(pos, bad):
+    g = np.random.default_rng(4)
+    st = make_state(caps={0: 2, 1: 2})
+    st.update(g.normal(size=(10, 2)), np.zeros(10, dtype=int))
+    X = g.normal(size=(60, 2))
+    X[pos, 1] = bad
+    before = st.n_stored
+    with pytest.raises(ValueError, match=f"stream id {1000 + pos} "):
+        st.update(X, np.zeros(60, dtype=int), ids=np.arange(1000, 1060))
+    assert st.n_seen == 10 and st.n_stored == before
+
+
+def test_non_finite_row_default_id_counts_from_n_seen():
+    st = make_state()
+    st.update(np.zeros((3, 2)))
+    X = np.ones((4, 2))
+    X[2, 0] = np.nan
+    with pytest.raises(ValueError, match="stream id 5 "):
+        st.update(X)
+
+
+# -- kernel path vs the per-element oracle ----------------------------------
+
+def _random_stream(metric, seed, n=6000, m=3):
+    g = np.random.default_rng(seed)
+    dim = {"euclidean": 5, "manhattan": 12, "angular": 8}[metric]
+    centers = g.uniform(-4, 4, size=(8, dim))
+    X = centers[g.integers(0, 8, n)] + g.normal(size=(n, dim))
+    X[g.integers(0, n, n // 50)] = X[g.integers(0, n, n // 50)]  # exact duplicates
+    if metric == "angular":
+        X = np.abs(X)
+    return X, g.integers(0, m, n), g.permutation(n) + 10_000
+
+
+@pytest.mark.parametrize("caps", ["sfdm1", "sfdm2"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_kernel_update_matches_oracle(metric, caps):
+    X, G, ids = _random_stream(metric, seed=METRICS.index(metric))
+    met = get_metric(metric)
+    lo, hi = exact_extent(X[:400], met)
+    mus = guess_grid(lo, hi, 0.15)
+    ks = {0: 2, 1: 3, 2: 1}
+    k = sum(ks.values())
+    group_caps = ks if caps == "sfdm1" else {g: k for g in ks}
+
+    def fresh():
+        return StreamState(met, mus, X.shape[1], k, group_caps=group_caps)
+
+    ref = fresh()
+    oracle_update(ref, X, G, ids)
+    assert 0 < ref.n_stored < len(X) // 10
+    for piece in (1, 17, 500, 5000):
+        st = fresh()
+        for lo_ in range(0, len(X), piece):
+            st.update(X[lo_ : lo_ + piece], G[lo_ : lo_ + piece], ids[lo_ : lo_ + piece])
+        assert_same_state(st, ref)
+
+
+@pytest.mark.parametrize("dataset,grouping,eps", [
+    ("Adult", "sex", 0.1), ("Adult", "sex+race", 0.1), ("CelebA", "sex+age", 0.1),
+    ("Census", "sex", 0.1), ("Census", "sex+age", 0.1), ("Lyrics", "genre", 0.05),
+])
+def test_table2_configs_match_oracle(dataset, grouping, eps):
+    from repro._stream_common import make_algo
+    from repro.datasets import equal_quotas
+    from repro.extent import estimate_extent
+    from repro.harness.table1 import dataset_suite
+    from repro.harness.table2 import algos_for
+
+    build = {name: b for name, b, _ in dataset_suite(0.02)}[dataset]
+    ds = build(grouping)
+    perm = np.random.default_rng(0).permutation(ds.n)
+    feats, groups = ds.feats[perm], ds.groups[perm]
+    ks = equal_quotas(20, ds.groups)
+    d_min, d_max = estimate_extent(ds.feats, ds.metric)
+    for algo in [a.lower() for a in algos_for(ds.m) if a.startswith("SFDM")]:
+        kw = dict(ks=ks, eps=eps, d_min=d_min, d_max=d_max, dim=ds.dim)
+        fast, ref = make_algo(algo, ds.metric_name, **kw), make_algo(algo, ds.metric_name, **kw)
+        fast.update(feats, groups)
+        oracle_update(ref.state, feats, groups)
+        assert_same_state(fast.state, ref.state)
+        a, b = fast.solve(), ref.solve()
+        assert np.array_equal(a.ids, b.ids) and a.mu == b.mu and a.diversity == b.diversity

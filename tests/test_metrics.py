@@ -79,6 +79,21 @@ def test_point_to_rows_matches_pairwise(name):
 
 
 @pytest.mark.parametrize("name", METRICS)
+def test_rows_to_rows_entries_depend_on_their_pair_only(name):
+    # the stream phase's rejection kernel needs point_to_rows' exact bits
+    # for any subset of stored rows (DESIGN.md §3)
+    m = get_metric(name)
+    g = np.random.default_rng(5)
+    X, A = g.normal(size=(7, 30)), g.normal(size=(53, 30))
+    D = m.rows_to_rows(X, A)
+    cols = np.array([3, 17, 18, 52])
+    assert np.array_equal(m.rows_to_rows(X[2:5], A[cols]), D[2:5][:, cols])
+    for i, x in enumerate(X):
+        assert np.array_equal(m.point_to_rows(x, A), D[i])
+        assert np.array_equal(m.point_to_rows(x, A[cols]), D[i, cols])
+
+
+@pytest.mark.parametrize("name", METRICS)
 def test_point_to_rows_empty(name):
     m = get_metric(name)
     assert m.point_to_rows(np.ones(3), np.zeros((0, 3))).shape == (0,)

@@ -64,3 +64,12 @@ def test_unknown_algo_rejected(spark):
             ds.to_spark(spark), metric=ds.metric_name, ks={0: 1, 1: 1},
             eps=0.1, d_min=lo, d_max=hi, dim=ds.dim, algo="nope",
         )
+
+
+def test_unknown_algo_rejected_before_spark_work():
+    # caps come from make_algo, which rejects the name before df is touched
+    with pytest.raises(ValueError, match="algo"):
+        run_fair_coreset(
+            None, metric="euclidean", ks={0: 1, 1: 1},
+            eps=0.1, d_min=1.0, d_max=2.0, dim=2, algo="nope",
+        )

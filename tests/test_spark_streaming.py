@@ -20,6 +20,15 @@ def test_write_stream_input_files(tmp_path):
     assert all(f.endswith(".parquet") for f in files)
 
 
+def test_write_stream_input_mtimes_follow_stream_order(tmp_path):
+    # the file source orders by mtime in ms; ties are read in arbitrary order
+    path = str(tmp_path / "in")
+    write_stream_input(blobs(64, 2, seed=0), path, n_files=32)
+    files = sorted(os.listdir(path))
+    ms = [os.stat(os.path.join(path, f)).st_mtime_ns // 1_000_000 for f in files]
+    assert all(a < b for a, b in zip(ms, ms[1:]))
+
+
 @pytest.mark.parametrize("algo", ["sfdm1", "sfdm2"])
 def test_streaming_job_fair_solution(spark, tmp_path, algo):
     ds = blobs(600, 2, seed=5)
