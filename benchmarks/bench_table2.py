@@ -64,9 +64,9 @@ def test_stream_phase(benchmark, algo):
     assert s.state.n_stored > 0
 
 
-@pytest.mark.parametrize("algo", ["sfdm1", "sfdm2"])
-def test_post_phase(benchmark, algo):
-    ds, ks = _config(2)
+@pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14)])
+def test_post_phase(benchmark, algo, m):
+    ds, ks = _config(m)
     extent = estimate_extent(ds.feats, ds.metric)
     s = make_algo(
         algo, ds.metric_name, ks=ks, eps=0.1,

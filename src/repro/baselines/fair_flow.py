@@ -51,11 +51,12 @@ def fair_flow(
         core.extend(members[local].tolist())
     core_idx = np.array(sorted(set(core)))
     cf, cg = feats[core_idx], groups[core_idx]
+    Dc = metric.pairwise(cf, cf)  # the coreset is fixed across the mu search
     # upper bound on OPT_f: 2 * div(GMM(X, k))
     mu = 2.0 * div(feats[gmm(feats, k, metric)], metric)
     group_list = sorted(ks)
     for _ in range(max_steps):
-        labels = threshold_clusters(cf, metric, mu / (m + 1))
+        labels = threshold_clusters(Dc, mu / (m + 1))
         sol = _solve_flow(cg, labels, ks, group_list, k)
         if sol is not None:
             idx = core_idx[sol]

@@ -148,7 +148,8 @@ class StreamState:
            (``point_to_rows`` + ``accept_mask``) in stream order.
 
         Raises ``ValueError`` naming the stream id of the first row with a
-        NaN or infinite feature, before changing any state.
+        NaN or infinite feature, or (when there are group banks) of the first
+        row whose group has no bank, i.e. no quota, before changing any state.
         """
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
@@ -161,6 +162,11 @@ class StreamState:
         bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
         if bad.size:
             raise ValueError(f"stream id {int(ids[bad[0]])} has a non-finite feature")
+        if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
+            r = np.flatnonzero(~np.isin(groups, list(self.group_banks)))[0]
+            raise ValueError(
+                f"stream id {int(ids[r])} has group {int(groups[r])}, which has no quota"
+            )
         for lo in range(0, b, _CHUNK):
             X, G = feats[lo : lo + _CHUNK], groups[lo : lo + _CHUNK]
             keep = keep_mask(self.metric, self.mus, self.feats, self._banks(), X, G)

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..metrics import Metric
-
 
 class UnionFind:
     """Array-based union-find with path compression (substrate for clustering)."""
@@ -32,16 +30,17 @@ class UnionFind:
             self.parent[rb] = ra
 
 
-def threshold_clusters(feats: np.ndarray, metric: Metric, threshold: float) -> np.ndarray:
+def threshold_clusters(D: np.ndarray, threshold: float) -> np.ndarray:
     """Cluster labels (0..l-1) such that clusters are >= threshold apart.
 
-    Any two points closer than ``threshold`` end up in the same cluster
-    (transitively); the minimum cross-cluster distance is >= threshold.
+    ``D`` is the (n x n) distance matrix of the points, e.g. a slice of the
+    store-wide matrix SFDM2's ``solve`` builds once. Any two points closer
+    than ``threshold`` end up in the same cluster (transitively); the
+    minimum cross-cluster distance is >= threshold.
     """
-    n = len(feats)
+    n = len(D)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    D = metric.pairwise(feats, feats)
     uf = UnionFind(n)
     close_i, close_j = np.nonzero(D < threshold)
     for i, j in zip(close_i.tolist(), close_j.tolist()):

@@ -13,6 +13,9 @@ Post phase (lines 9-18), per guess μ with ``|S_μ| = k`` and
    cluster matroid (≤1 element per cluster), solved by Algorithm 4 (greedy
    far-point insertion + Cunningham augmentation), which augments ``S'_μ``
    to a fair size-k solution whenever one exists.
+
+``solve`` computes the store's distance matrix once and every guess slices
+it; the matrix is not kept between calls.
 """
 from __future__ import annotations
 
@@ -68,8 +71,9 @@ class SFDM2:
     def update(self, feats, groups, ids=None) -> None:
         self.state.update(feats, groups, ids)
 
-    def _post_one(self, g: int) -> tuple[float, list[int]] | None:
-        """Post-process guess index g; returns (div, store indices) or None."""
+    def _post_one(self, g: int, D_store: np.ndarray) -> tuple[float, list[int]] | None:
+        """Post-process guess index g on the store-wide distance matrix;
+        returns (div, store indices) or None."""
         st, m, k = self.state, self.m, self.k
         mu = float(self.mus[g])
         # S_all: union of the blind and all group candidates (store indices are
@@ -78,19 +82,17 @@ class SFDM2:
         for b in st.group_banks.values():
             sel |= b.member[g, : st.n_stored]
         s_all = np.flatnonzero(sel)
-        feats = st.feats[s_all]
         groups = st.groups[s_all]
-        D = self.metric.pairwise(feats, feats)
-        # local positions of the blind candidate within s_all
-        pos = {int(x): i for i, x in enumerate(s_all)}
-        blind_local = [pos[int(x)] for x in st.blind.indices(g, st.n_stored)]
+        D = D_store[np.ix_(s_all, s_all)]
+        # local positions of the blind candidate within s_all (both ascending)
+        blind_local = np.flatnonzero(st.blind.member[g, s_all]).tolist()
         # (1) initial partial solution: at most k_i per group from S_mu
         init: set[int] = set()
         for grp, kg in self.ks.items():
             members = [x for x in blind_local if groups[x] == grp]
             init.update(_greedy_maxmin_subset(D, members, kg))
         # (2) clusters at threshold mu/(m+1)
-        labels = threshold_clusters(feats, self.metric, mu / (m + 1))
+        labels = threshold_clusters(D, mu / (m + 1))
         # Guard: Lemma 3(ii) promises S_mu hits each cluster at most once; an
         # estimated extent grid can break the premise, so enforce I2 on init.
         seen: set[int] = set()
@@ -107,11 +109,16 @@ class SFDM2:
         )
         if len(sol) != k:
             return None
-        sol_idx = sorted(sol)
-        return div(feats[sol_idx], self.metric), [int(s_all[x]) for x in sol_idx]
+        sol_idx = [int(s_all[x]) for x in sorted(sol)]
+        # div on the solution rows, not a slice of D_store: its own pairwise
+        # call can differ from the store-wide one in the last bit.
+        return div(st.feats[sol_idx], self.metric), sol_idx
 
     def solve(self) -> DMResult:
+        """Best post-processed guess in U'. Builds the store's distance
+        matrix once per call; each guess slices it. Not kept across calls."""
         st = self.state
+        D_store = self.metric.pairwise(st.feats, st.feats)
         best = None
         for g in range(len(self.mus)):
             if st.blind.sizes[g] != self.k:
@@ -120,7 +127,7 @@ class SFDM2:
                 st.group_banks[grp].sizes[g] < kg for grp, kg in self.ks.items()
             ):
                 continue
-            out = self._post_one(g)
+            out = self._post_one(g, D_store)
             if out is None:
                 continue
             d, sol = out

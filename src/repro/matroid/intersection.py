@@ -21,81 +21,100 @@ import numpy as np
 from .partition import PartitionMatroid
 
 
+class _Counts:
+    """One partition matroid as arrays: each element's label index ``lab``,
+    and each label's ``cap`` and its count ``cnt`` in the current S."""
+
+    def __init__(self, m: PartitionMatroid, S: np.ndarray):
+        keys, self.lab = np.unique(m.labels, return_inverse=True)
+        self.cap = np.array([m.cap(l) for l in keys], dtype=np.int64)
+        self.cnt = np.bincount(self.lab[S], minlength=len(self.cap))
+
+    def room(self) -> np.ndarray:
+        """Per element: whether its label can take one more element."""
+        return self.cnt[self.lab] < self.cap[self.lab]
+
+    def add(self, x: int, d: int = 1) -> None:
+        """Change the count of element x's label by d."""
+        self.cnt[self.lab[x]] += d
+
+
 def _greedy_phase(
-    S: set[int],
-    m1: PartitionMatroid,
-    m2: PartitionMatroid,
+    S: np.ndarray,
+    c1: _Counts,
+    c2: _Counts,
     D: np.ndarray | None,
     target: int | None,
 ) -> None:
-    n = len(m1.labels)
-    c1 = m1.label_counts(S) if S else {}
-    c2 = m2.label_counts(S) if S else {}
-    while target is None or len(S) < target:
-        cand = [
-            x for x in range(n)
-            if x not in S and m1.can_add(c1, x) and m2.can_add(c2, x)
-        ]
-        if not cand:
+    """Add, while one is addable to both matroids, the candidate farthest from
+    S: the first argmax of ``mind``, the running min over S of ``D[:, y]``,
+    with candidates in index order. An empty S is seeded with the candidate of
+    largest row sum; without ``D`` the first candidate is taken."""
+    addable = ~S & c1.room() & c2.room()
+    mind = D[:, S].min(axis=1) if D is not None and S.any() else None
+    size = int(S.sum())
+    while target is None or size < target:
+        cand = np.flatnonzero(addable)
+        if cand.size == 0:
             return
-        if D is not None and S:
-            sl = list(S)
-            sub = D[np.ix_(cand, sl)].min(axis=1)
-            x = cand[int(np.argmax(sub))]
-        elif D is not None:
-            # empty S: seed with the element farthest from everything else
-            x = cand[int(np.argmax(D[cand].sum(axis=1)))]
+        if D is None:
+            x = int(cand[0])
+        elif mind is None:
+            x = int(cand[np.argmax(D[cand].sum(axis=1))])
         else:
-            x = cand[0]
-        S.add(x)
-        l1, l2 = int(m1.labels[x]), int(m2.labels[x])
-        c1[l1] = c1.get(l1, 0) + 1
-        c2[l2] = c2.get(l2, 0) + 1
+            x = int(cand[np.argmax(mind[cand])])
+        S[x] = True
+        size += 1
+        addable[x] = False
+        for c in (c1, c2):
+            c.add(x)
+            l = c.lab[x]
+            if c.cnt[l] >= c.cap[l]:
+                addable[c.lab == l] = False
+        if D is not None:
+            mind = D[:, x] if mind is None else np.minimum(mind, D[:, x])
 
 
-def _augment_once(S: set[int], m1: PartitionMatroid, m2: PartitionMatroid) -> bool:
+def _augment_once(S: np.ndarray, c1: _Counts, c2: _Counts) -> bool:
     """One Cunningham augmentation step; returns False when S is maximum."""
-    n = len(m1.labels)
-    c1 = m1.label_counts(S) if S else {}
-    c2 = m2.label_counts(S) if S else {}
-    outside = [x for x in range(n) if x not in S]
-    V1 = {x for x in outside if m1.can_add(c1, x)}
-    V2 = {x for x in outside if m2.can_add(c2, x)}
-    # BFS over the augmentation digraph. Nodes: elements + virtual a (source).
-    # a -> x for x in V1;  x -> b for x in V2;
+    # BFS over the augmentation digraph from the sources, in index order:
+    # a -> x for x outside S with room in M1;  x -> b for x outside with room in M2;
     # y(in S) -> x(out):  group(x) full and label1(y) == label1(x);
     # x(out) -> y(in S):  cluster(x) full and label2(y) == label2(x).
-    prev: dict[int, int | None] = {}
-    q: deque[int] = deque()
-    for x in sorted(V1):
-        prev[x] = None
-        q.append(x)
-    end = None
+    # Each node's successors are enqueued in index order.
+    n = len(S)
+    src = np.flatnonzero(~S & c1.room())
+    sink = ~S & c2.room()
+    seen = np.zeros(n, dtype=bool)
+    seen[src] = True
+    prev = np.full(n, -1)
+    q: deque[int] = deque(src.tolist())
+    end = -1
     while q:
         u = q.popleft()
-        if u in V2 and u not in S:
+        if sink[u]:
             end = u
             break
-        if u not in S:  # u outside S: edges u -> y in S sharing M2 label
-            for y in S:
-                if y not in prev and m2.labels[y] == m2.labels[u]:
-                    prev[y] = u
-                    q.append(y)
-        else:  # u in S: edges u -> x outside sharing M1 label, group full
-            for x in outside:
-                if x not in prev and not m1.can_add(c1, x) and m1.labels[x] == m1.labels[u]:
-                    prev[x] = u
-                    q.append(x)
-    if end is None:
+        if S[u]:
+            l = c1.lab[u]
+            if c1.cnt[l] < c1.cap[l]:
+                continue
+            nxt = np.flatnonzero(~S & ~seen & (c1.lab == l))
+        else:
+            nxt = np.flatnonzero(S & ~seen & (c2.lab == c2.lab[u]))
+        seen[nxt] = True
+        prev[nxt] = u
+        q.extend(nxt.tolist())
+    if end < 0:
         return False
     # flip membership along the path
-    node: int | None = end
-    while node is not None:
-        if node in S:
-            S.remove(node)
-        else:
-            S.add(node)
-        node = prev[node]
+    node = end
+    while node >= 0:
+        d = -1 if S[node] else 1
+        S[node] = not S[node]
+        c1.add(node, d)
+        c2.add(node, d)
+        node = int(prev[node])
     return True
 
 
@@ -113,13 +132,20 @@ def max_common_independent_set(
     (full pairwise distances over the ground set) drives the greedy max-min
     selection; pass None for arbitrary (FairFlow-style) choices. ``target``
     stops early once |S| reaches it (the rank bound k in SFDM2).
+
+    S, the per-label counts and caps and the "addable to both" test are
+    arrays, and the greedy phase keeps d(x, S) as a running minimum, so no
+    step loops over elements in Python. Ties go to the lowest index.
     """
-    S = set(init) if init else set()
-    if not (m1.is_independent(np.array(sorted(S), dtype=int)) if S else True):
+    S = np.zeros(len(m1.labels), dtype=bool)
+    S[list(init or ())] = True
+    members = np.flatnonzero(S)
+    if not m1.is_independent(members):
         raise ValueError("init not independent in M1")
-    if not (m2.is_independent(np.array(sorted(S), dtype=int)) if S else True):
+    if not m2.is_independent(members):
         raise ValueError("init not independent in M2")
-    _greedy_phase(S, m1, m2, dist_matrix, target)
-    while (target is None or len(S) < target) and _augment_once(S, m1, m2):
+    c1, c2 = _Counts(m1, S), _Counts(m2, S)
+    _greedy_phase(S, c1, c2, dist_matrix, target)
+    while (target is None or S.sum() < target) and _augment_once(S, c1, c2):
         pass
-    return S
+    return set(np.flatnonzero(S).tolist())

@@ -27,10 +27,6 @@ class PartitionMatroid:
         labels, counts = np.unique(self.labels[members], return_counts=True)
         return all(c <= self.cap(l) for l, c in zip(labels, counts))
 
-    def label_counts(self, members) -> dict[int, int]:
-        labels, counts = np.unique(self.labels[list(members)], return_counts=True)
-        return {int(l): int(c) for l, c in zip(labels, counts)}
-
     def can_add(self, counts: dict[int, int], x: int) -> bool:
         """Whether adding element ``x`` keeps independence, given label counts."""
         l = int(self.labels[x])

@@ -16,6 +16,8 @@ import numpy as np
 
 __all__ = ["Metric", "get_metric", "METRICS"]
 
+_BLOCK_BYTES = 1 << 20  # target size of one Manhattan ``pairwise`` temporary
+
 
 class Metric:
     """A named distance metric with vectorized pairwise forms."""
@@ -38,7 +40,13 @@ class Metric:
             )
             return np.sqrt(np.clip(sq, 0.0, None))
         if self.name == "manhattan":
-            return np.abs(A[:, None, :] - B[None, :, :]).sum(-1)
+            # Row-blocked so the (rows, |B|, dim) temporary stays near
+            # _BLOCK_BYTES; each entry is the unblocked expression's.
+            out = np.empty((len(A), len(B)))
+            step = max(1, _BLOCK_BYTES // (8 * max(1, B.size)))
+            for lo in range(0, len(A), step):
+                out[lo : lo + step] = np.abs(A[lo : lo + step, None, :] - B[None, :, :]).sum(-1)
+            return out
         # angular: arccos of cosine similarity, in [0, pi]
         na = np.linalg.norm(A, axis=1)
         nb = np.linalg.norm(B, axis=1)

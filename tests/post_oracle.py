@@ -1,0 +1,166 @@
+"""Reference post-processing: SFDM2's per-guess post phase, threshold
+clustering and Algorithm 4 as they were before ``solve`` shared one
+store-wide distance matrix.
+
+Each guess builds its own distance matrix with ``Metric.pairwise``, the
+clustering builds another from the features, and the matroid intersection
+keeps dict label counts and asks ``PartitionMatroid.can_add`` per element.
+The tests require the production path to match these bit for bit.
+"""
+from collections import deque
+
+import numpy as np
+
+from repro.core.clustering import UnionFind
+from repro.core.sfdm2 import _greedy_maxmin_subset
+from repro.diversity import div
+from repro.matroid.partition import PartitionMatroid
+
+
+def oracle_threshold_clusters(feats, metric, threshold):
+    n = len(feats)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    D = metric.pairwise(feats, feats)
+    uf = UnionFind(n)
+    close_i, close_j = np.nonzero(D < threshold)
+    for i, j in zip(close_i.tolist(), close_j.tolist()):
+        if i < j:
+            uf.union(i, j)
+    roots = np.array([uf.find(i) for i in range(n)])
+    _, labels = np.unique(roots, return_inverse=True)
+    return labels.astype(np.int64)
+
+
+def _label_counts(m, members):
+    labels, counts = np.unique(m.labels[list(members)], return_counts=True)
+    return {int(l): int(c) for l, c in zip(labels, counts)}
+
+
+def _greedy_phase(S, m1, m2, D, target):
+    n = len(m1.labels)
+    c1 = _label_counts(m1, S) if S else {}
+    c2 = _label_counts(m2, S) if S else {}
+    while target is None or len(S) < target:
+        cand = [
+            x for x in range(n)
+            if x not in S and m1.can_add(c1, x) and m2.can_add(c2, x)
+        ]
+        if not cand:
+            return
+        if D is not None and S:
+            sl = list(S)
+            sub = D[np.ix_(cand, sl)].min(axis=1)
+            x = cand[int(np.argmax(sub))]
+        elif D is not None:
+            x = cand[int(np.argmax(D[cand].sum(axis=1)))]
+        else:
+            x = cand[0]
+        S.add(x)
+        l1, l2 = int(m1.labels[x]), int(m2.labels[x])
+        c1[l1] = c1.get(l1, 0) + 1
+        c2[l2] = c2.get(l2, 0) + 1
+
+
+def _augment_once(S, m1, m2):
+    n = len(m1.labels)
+    c1 = _label_counts(m1, S) if S else {}
+    c2 = _label_counts(m2, S) if S else {}
+    outside = [x for x in range(n) if x not in S]
+    V1 = {x for x in outside if m1.can_add(c1, x)}
+    V2 = {x for x in outside if m2.can_add(c2, x)}
+    prev = {}
+    q = deque()
+    for x in sorted(V1):
+        prev[x] = None
+        q.append(x)
+    end = None
+    while q:
+        u = q.popleft()
+        if u in V2 and u not in S:
+            end = u
+            break
+        if u not in S:
+            for y in S:
+                if y not in prev and m2.labels[y] == m2.labels[u]:
+                    prev[y] = u
+                    q.append(y)
+        else:
+            for x in outside:
+                if x not in prev and not m1.can_add(c1, x) and m1.labels[x] == m1.labels[u]:
+                    prev[x] = u
+                    q.append(x)
+    if end is None:
+        return False
+    node = end
+    while node is not None:
+        if node in S:
+            S.remove(node)
+        else:
+            S.add(node)
+        node = prev[node]
+    return True
+
+
+def oracle_max_common_independent_set(m1, m2, *, init=None, dist_matrix=None, target=None):
+    """Algorithm 4 with dicts and ``can_add``. Its BFS visits S in set
+    order, so it is a reference only where M2 has cap 1 (every caller's
+    cluster matroid): then at most one element of S shares a cluster."""
+    S = set(init) if init else set()
+    _greedy_phase(S, m1, m2, dist_matrix, target)
+    while (target is None or len(S) < target) and _augment_once(S, m1, m2):
+        pass
+    return S
+
+
+def _post_one(s, g):
+    st, m, k = s.state, s.m, s.k
+    mu = float(s.mus[g])
+    sel = st.blind.member[g, : st.n_stored].copy()
+    for b in st.group_banks.values():
+        sel |= b.member[g, : st.n_stored]
+    s_all = np.flatnonzero(sel)
+    feats = st.feats[s_all]
+    groups = st.groups[s_all]
+    D = s.metric.pairwise(feats, feats)
+    pos = {int(x): i for i, x in enumerate(s_all)}
+    blind_local = [pos[int(x)] for x in st.blind.indices(g, st.n_stored)]
+    init = set()
+    for grp, kg in s.ks.items():
+        members = [x for x in blind_local if groups[x] == grp]
+        init.update(_greedy_maxmin_subset(D, members, kg))
+    labels = oracle_threshold_clusters(feats, s.metric, mu / (m + 1))
+    seen, init_ok = set(), set()
+    for x in sorted(init):
+        c = int(labels[x])
+        if c not in seen:
+            seen.add(c)
+            init_ok.add(x)
+    m1 = PartitionMatroid(groups, s.ks)
+    m2 = PartitionMatroid(labels, 1)
+    sol = oracle_max_common_independent_set(m1, m2, init=init_ok, dist_matrix=D, target=k)
+    if len(sol) != k:
+        return None
+    sol_idx = sorted(sol)
+    return div(feats[sol_idx], s.metric), [int(s_all[x]) for x in sol_idx]
+
+
+def oracle_solve(s):
+    """``SFDM2.solve`` with one pairwise matrix per guess: ``(ids, mu, diversity)``
+    of the winning guess, or None when no guess yields a fair solution."""
+    st, best = s.state, None
+    for g in range(len(s.mus)):
+        if st.blind.sizes[g] != s.k:
+            continue
+        if any(st.group_banks[grp].sizes[g] < kg for grp, kg in s.ks.items()):
+            continue
+        out = _post_one(s, g)
+        if out is None:
+            continue
+        d, sol = out
+        if best is None or d > best[0]:
+            best = (d, sol, float(s.mus[g]))
+    if best is None:
+        return None
+    d, sol, mu = best
+    return st.ids[np.array(sol)], mu, d

@@ -241,6 +241,12 @@ def test_non_finite_row_default_id_counts_from_n_seen():
         st.update(X)
 
 
+def test_group_labels_free_without_group_banks():
+    st = make_state()  # blind bank only, as in StreamingDM
+    st.update(np.array([[0.0, 0.0], [5.0, 0.0]]), groups=np.array([7, -3]))
+    assert list(st.groups) == [7, -3]
+
+
 # -- kernel path vs the per-element oracle ----------------------------------
 
 def _random_stream(metric, seed, n=6000, m=3):

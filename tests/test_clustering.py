@@ -8,6 +8,10 @@ from repro.metrics import get_metric
 MET = get_metric("euclidean")
 
 
+def pw(X):
+    return MET.pairwise(X, X)
+
+
 def test_union_find_basic():
     uf = UnionFind(4)
     uf.union(0, 1)
@@ -20,18 +24,18 @@ def test_union_find_basic():
 
 
 def test_two_far_points_two_clusters():
-    labels = threshold_clusters(np.array([[0.0], [10.0]]), MET, 1.0)
+    labels = threshold_clusters(pw(np.array([[0.0], [10.0]])), 1.0)
     assert labels[0] != labels[1]
 
 
 def test_two_close_points_merge():
-    labels = threshold_clusters(np.array([[0.0], [0.5]]), MET, 1.0)
+    labels = threshold_clusters(pw(np.array([[0.0], [0.5]])), 1.0)
     assert labels[0] == labels[1]
 
 
 def test_chain_merges_transitively():
     # 0 - 0.9 - 1.8: consecutive pairs < 1.0 but ends are 1.8 apart
-    labels = threshold_clusters(np.array([[0.0], [0.9], [1.8]]), MET, 1.0)
+    labels = threshold_clusters(pw(np.array([[0.0], [0.9], [1.8]])), 1.0)
     assert len(set(labels.tolist())) == 1
 
 
@@ -39,8 +43,8 @@ def test_cross_cluster_separation_property():
     g = np.random.default_rng(0)
     X = g.normal(size=(40, 2)) * 3
     thresh = 1.2
-    labels = threshold_clusters(X, MET, thresh)
     D = MET.pairwise(X, X)
+    labels = threshold_clusters(D, thresh)
     for a in range(40):
         for b in range(40):
             if labels[a] != labels[b]:
@@ -48,17 +52,17 @@ def test_cross_cluster_separation_property():
 
 
 def test_empty_input():
-    assert threshold_clusters(np.zeros((0, 2)), MET, 1.0).shape == (0,)
+    assert threshold_clusters(pw(np.zeros((0, 2))), 1.0).shape == (0,)
 
 
 def test_singleton():
-    assert threshold_clusters(np.zeros((1, 2)), MET, 1.0).tolist() == [0]
+    assert threshold_clusters(pw(np.zeros((1, 2))), 1.0).tolist() == [0]
 
 
 def test_labels_are_dense_0_to_l():
     g = np.random.default_rng(1)
     X = g.normal(size=(25, 2)) * 5
-    labels = threshold_clusters(X, MET, 0.8)
+    labels = threshold_clusters(pw(X), 0.8)
     uniq = np.unique(labels)
     assert uniq.tolist() == list(range(len(uniq)))
 
@@ -67,7 +71,7 @@ def test_labels_are_dense_0_to_l():
 def test_threshold_extremes(thresh):
     g = np.random.default_rng(2)
     X = g.normal(size=(10, 2))
-    labels = threshold_clusters(X, MET, thresh)
+    labels = threshold_clusters(pw(X), thresh)
     if thresh < 1:
         assert len(set(labels.tolist())) == 10
     else:

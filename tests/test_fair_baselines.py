@@ -94,6 +94,38 @@ def test_fair_flow_infeasible_quota():
         fair_flow(X, grp, {0: 2, 1: 2}, "euclidean")
 
 
+@pytest.mark.parametrize("m,metric", [(2, "euclidean"), (3, "manhattan"), (5, "angular")])
+def test_fair_flow_matches_per_step_clustering(m, metric):
+    # Reference: the mu search re-clustering the coreset from its features at
+    # every step; fair_flow builds the coreset's matrix once. Group 0 sits in
+    # a tight ball, so the search shrinks mu 50-70 times before it succeeds.
+    from repro.baselines.fair_flow import _solve_flow
+    from repro.baselines.gmm import gmm
+    from tests.post_oracle import oracle_threshold_clusters
+
+    g = np.random.default_rng(m)
+    X = g.uniform(1, 4, size=(400, 4))
+    grp = g.integers(0, m, 400)
+    X[grp == 0] = 2 + 0.05 * g.random(size=((grp == 0).sum(), 4))
+    ks = {i: 2 + i % 2 for i in range(m)}
+    met, k = get_metric(metric), sum(ks.values())
+    core = []
+    for i, kg in ks.items():
+        members = np.flatnonzero(grp == i)
+        core.extend(members[gmm(X[members], min(k, len(members)), met)].tolist())
+    core_idx = np.array(sorted(set(core)))
+    mu = 2.0 * div(X[gmm(X, k, met)], met)
+    while True:
+        labels = oracle_threshold_clusters(X[core_idx], met, mu / (m + 1))
+        sol = _solve_flow(grp[core_idx], labels, ks, sorted(ks), k)
+        if sol is not None:
+            break
+        mu *= 0.95
+    want = core_idx[sol]
+    idx, d = fair_flow(X, grp, ks, metric)
+    assert np.array_equal(idx, want) and d == div(X[want], met)
+
+
 def test_fair_flow_quality_degrades_vs_sfdm2_for_large_m():
     # the reproduced paper's headline comparison (Table II, m large)
     from repro.core.sfdm2 import SFDM2

@@ -155,3 +155,36 @@ def test_augmentation_needed_case():
     assert len(S) == 2
     arr = np.array(sorted(S))
     assert m1.is_independent(arr) and m2.is_independent(arr)
+
+
+# -- array-based Algorithm 4 vs the dict/can_add oracle ----------------------
+
+@pytest.mark.parametrize("mode", ["dist_matrix", "arbitrary"])
+@pytest.mark.parametrize("seed", range(30))
+def test_intersection_matches_oracle(seed, mode):
+    # M2 has cap 1, as both callers' cluster matroids do. Label counts range
+    # from a few to about n/2 per matroid; with many labels a random maximal
+    # init is often not maximum, which leaves work for the augmentation
+    # phase. Integer points give exact distance ties (first-argmax rule).
+    from tests.post_oracle import oracle_max_common_independent_set
+
+    g = np.random.default_rng(seed)
+    n = int(g.integers(5, 60))
+    n1, n2 = g.integers(1, n // 2 + 2, size=2)
+    caps1 = {i: int(g.integers(0, 4)) for i in range(n1) if g.random() < 0.9}
+    m1 = PartitionMatroid(g.integers(0, n1, n), caps1)
+    m2 = PartitionMatroid(g.integers(0, n2, n), 1)
+    D = None
+    if mode == "dist_matrix":
+        X = g.integers(0, 4, size=(n, 2)).astype(float)
+        D = get_metric("manhattan").pairwise(X, X)
+    init, c1, c2 = set(), {}, {}
+    for x in g.permutation(n)[: int(g.integers(0, n + 1))].tolist():
+        if m1.can_add(c1, x) and m2.can_add(c2, x):
+            init.add(x)
+            c1[int(m1.labels[x])] = c1.get(int(m1.labels[x]), 0) + 1
+            c2[int(m2.labels[x])] = c2.get(int(m2.labels[x]), 0) + 1
+    target = None if g.random() < 0.5 else int(g.integers(1, n))
+    kw = dict(init=init, dist_matrix=D, target=target)
+    want = oracle_max_common_independent_set(m1, m2, **kw)
+    assert max_common_independent_set(m1, m2, **kw) == want

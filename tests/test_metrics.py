@@ -145,3 +145,21 @@ def test_euclidean_clip_no_nan_on_near_duplicates():
     m = get_metric("euclidean")
     X = np.full((2, 4), 0.123456789)
     assert not np.isnan(m.pairwise(X, X)).any()
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, 52])
+def test_blocked_manhattan_pairwise_is_the_unblocked_expression(rows_per_block):
+    # B sized so that one block holds ``rows_per_block`` rows of A; A's row
+    # counts end on, just before and just after block boundaries.
+    from repro.metrics import _BLOCK_BYTES
+
+    g = np.random.default_rng(rows_per_block)
+    dim = 25
+    B = g.normal(size=(_BLOCK_BYTES // (8 * dim * rows_per_block), dim)) * 3
+    met = get_metric("manhattan")
+    for n in (0, 1, rows_per_block - 1, rows_per_block, 2 * rows_per_block + 1):
+        A = g.normal(size=(n, dim)) * 3
+        want = np.abs(A[:, None, :] - B[None, :, :]).sum(-1)
+        got = met.pairwise(A, B)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert met.pairwise(A, B[:0]).shape == (len(A), 0)

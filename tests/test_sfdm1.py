@@ -121,3 +121,15 @@ def test_groups_must_cover_quotas():
     grp = np.zeros(30, dtype=int)  # group 1 empty
     with pytest.raises(RuntimeError):
         run(X, grp, {0: 3, 1: 3})
+
+
+def test_group_without_quota_rejected_at_update():
+    g = np.random.default_rng(7)
+    X = g.normal(size=(30, 2))
+    grp = np.array([0, 1] * 15)
+    grp[17] = 2  # labels {0, 1, 2}, quotas for {0, 1}
+    lo, hi = exact_extent(X, MET)
+    s = SFDM1("euclidean", ks={0: 3, 1: 3}, eps=0.1, d_min=lo, d_max=hi, dim=2)
+    with pytest.raises(ValueError, match="stream id 117 has group 2, which has no quota"):
+        s.update(X, grp, ids=np.arange(100, 130))
+    assert s.state.n_seen == 0 and s.state.n_stored == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.core.sfdm2 import SFDM2
 from repro.diversity import brute_fair_opt, div
 from repro.extent import exact_extent
-from repro.metrics import get_metric
+from repro.metrics import METRICS, get_metric
 
 MET = get_metric("euclidean")
 
@@ -143,3 +143,47 @@ def test_infeasible_quota_raises():
     grp = np.zeros(40, dtype=int)
     with pytest.raises(RuntimeError):
         run(X, grp, {0: 2, 1: 2})
+
+
+# -- one store-wide matrix per solve vs the per-guess oracle -----------------
+
+@pytest.mark.parametrize("m", [2, 3, 14])
+@pytest.mark.parametrize("metric", METRICS)
+def test_solve_matches_per_guess_oracle(metric, m):
+    from tests.post_oracle import oracle_solve
+
+    g = np.random.default_rng(10 * m + METRICS.index(metric))
+    n, dim = 3000, {"euclidean": 4, "manhattan": 25, "angular": 8}[metric]
+    centers = g.uniform(-4, 4, size=(12, dim))
+    X = centers[g.integers(0, 12, n)] + g.normal(size=(n, dim))
+    if metric == "angular":
+        X = np.abs(X)
+    grp = g.choice(m, size=n, p=np.arange(m, 0, -1) / (m * (m + 1) / 2))
+    ks = {2: {0: 3, 1: 4}, 3: {0: 2, 1: 3, 2: 1}, 14: dict.fromkeys(range(14), 1)}[m]
+    lo, hi = exact_extent(X[:300], get_metric(metric))
+    s = SFDM2(metric, ks=ks, eps=0.1, d_min=lo, d_max=hi, dim=dim)
+    solved = 0
+    for piece in np.array_split(np.arange(n), 4):
+        s.update(X[piece], grp[piece])
+        want = oracle_solve(s)
+        if want is None:
+            with pytest.raises(RuntimeError):
+                s.solve()
+            continue
+        r = s.solve()
+        assert np.array_equal(r.ids, want[0]) and r.mu == want[1] and r.diversity == want[2]
+        solved += 1
+    assert solved >= 2
+
+
+def test_group_without_quota_rejected_at_update():
+    X, _ = instance(11, n=40)
+    grp = np.array([0, 1] * 20)
+    grp[[5, 9]] = 2  # labels {0, 1, 2}, quotas for {0, 1}
+    lo, hi = exact_extent(X, MET)
+    s = SFDM2("euclidean", ks={0: 3, 1: 3}, eps=0.1, d_min=lo, d_max=hi, dim=2)
+    s.update(X[:5], grp[:5])
+    n_stored = s.state.n_stored
+    with pytest.raises(ValueError, match="stream id 5 has group 2, which has no quota"):
+        s.update(X[5:], grp[5:])
+    assert s.state.n_seen == 5 and s.state.n_stored == n_stored
