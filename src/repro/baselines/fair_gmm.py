@@ -15,6 +15,7 @@ import numpy as np
 
 from ..diversity import div
 from ..metrics import Metric, get_metric
+from .gmm import group_gmm_prefixes
 
 MAX_COMBOS = 2_000_000
 
@@ -29,18 +30,10 @@ def fair_gmm(
     metric = get_metric(metric) if isinstance(metric, str) else metric
     feats = np.asarray(feats, dtype=np.float64)
     groups = np.asarray(groups)
-    k = sum(ks.values())
-    from .gmm import gmm
-
-    prefixes: dict[int, np.ndarray] = {}
+    prefixes = group_gmm_prefixes(feats, groups, ks, metric)
     n_combos = 1
-    for g, kg in sorted(ks.items()):
-        members = np.flatnonzero(groups == g)
-        if len(members) < kg:
-            raise ValueError(f"group {g} smaller than its quota {kg}")
-        plen = min(k, len(members))
-        prefixes[g] = members[gmm(feats[members], plen, metric)]
-        n_combos *= comb(plen, kg)
+    for g, kg in ks.items():
+        n_combos *= comb(len(prefixes[g]), kg)
     if n_combos > MAX_COMBOS:
         raise ValueError(
             f"FairGMM would enumerate {n_combos} combinations (> {MAX_COMBOS}); "

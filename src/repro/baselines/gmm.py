@@ -28,6 +28,22 @@ def gmm(
     return chosen
 
 
+def group_gmm_prefixes(
+    feats: np.ndarray, groups: np.ndarray, ks: dict[int, int], metric: Metric
+) -> dict[int, np.ndarray]:
+    """Per group g of ``ks``, in sorted order: indices into ``feats`` of the
+    GMM solution over g's rows, of size min(k, |g|) with k the sum of the
+    quotas. This is the per-group coreset of FairFlow and FairGMM."""
+    k = sum(ks.values())
+    prefixes: dict[int, np.ndarray] = {}
+    for g, kg in sorted(ks.items()):
+        members = np.flatnonzero(groups == g)
+        if len(members) < kg:
+            raise ValueError(f"group {g} smaller than its quota {kg}")
+        prefixes[g] = members[gmm(feats[members], min(k, len(members)), metric)]
+    return prefixes
+
+
 def gmm_diversity(feats: np.ndarray, k: int, metric: Metric) -> float:
     """div of the GMM solution (the unconstrained reference in Table II)."""
     from ..diversity import div

@@ -17,7 +17,7 @@ from ..diversity import div
 from ..guesses import guess_grid
 from ..metrics import Metric, get_metric
 from .bank import StreamState
-from .stream_dm import DMResult
+from .stream_dm import DMResult, raise_if_group_short
 
 
 def swap_balance(
@@ -109,6 +109,7 @@ class SFDM1:
             if best is None or d > best[0]:
                 best = (d, sol, float(self.mus[g]))
         if best is None:
+            raise_if_group_short("SFDM1", st, self.ks)
             raise RuntimeError(
                 "SFDM1: no guess produced full candidates (U' empty); "
                 "extent estimate or quotas inconsistent with the data"

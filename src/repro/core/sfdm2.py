@@ -28,7 +28,7 @@ from ..matroid.partition import PartitionMatroid
 from ..metrics import Metric, get_metric
 from .bank import StreamState
 from .clustering import threshold_clusters
-from .stream_dm import DMResult
+from .stream_dm import DMResult, raise_if_group_short
 
 
 def _greedy_maxmin_subset(D: np.ndarray, members: list[int], size: int) -> list[int]:
@@ -134,6 +134,7 @@ class SFDM2:
             if best is None or d > best[0]:
                 best = (d, sol, float(self.mus[g]))
         if best is None:
+            raise_if_group_short("SFDM2", st, self.ks)
             raise RuntimeError(
                 "SFDM2: no guess yielded a fair size-k solution; "
                 "extent estimate or quotas inconsistent with the data"

@@ -30,6 +30,19 @@ class DMResult:
     extra: dict = field(default_factory=dict)
 
 
+def raise_if_group_short(algo: str, st: StreamState, ks: dict[int, int]) -> None:
+    """For SFDM1/SFDM2 when no guess qualifies (U' empty): raise a
+    ``RuntimeError`` naming the first group that stored fewer rows than its
+    quota, since such a group cannot fill its candidate at any guess."""
+    for grp, kg in sorted(ks.items()):
+        n = int(np.count_nonzero(st.groups == grp))
+        if n < kg:
+            raise RuntimeError(
+                f"{algo}: group {grp} has {n} stored rows, fewer than its "
+                f"quota {kg} (U' empty)"
+            )
+
+
 class StreamingDM:
     """One-pass streaming DM: feed chunks via :meth:`update`, then :meth:`solve`."""
 

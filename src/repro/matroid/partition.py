@@ -1,6 +1,7 @@
 """Partition matroid over a labelled ground set.
 
-Both matroids in SFDM2's post-processing are partition matroids:
+Both matroids in SFDM2's post-processing (and FairFlow's assignment) are
+partition matroids:
 
 * the **fairness matroid** ``M1``: labels = group ids, caps = the quotas k_i;
 * the **cluster matroid** ``M2``: labels = cluster ids, caps = 1 everywhere.

@@ -99,8 +99,9 @@ def test_fair_flow_matches_per_step_clustering(m, metric):
     # Reference: the mu search re-clustering the coreset from its features at
     # every step; fair_flow builds the coreset's matrix once. Group 0 sits in
     # a tight ball, so the search shrinks mu 50-70 times before it succeeds.
-    from repro.baselines.fair_flow import _solve_flow
     from repro.baselines.gmm import gmm
+    from repro.matroid.intersection import max_common_independent_set
+    from repro.matroid.partition import PartitionMatroid
     from tests.post_oracle import oracle_threshold_clusters
 
     g = np.random.default_rng(m)
@@ -117,11 +118,13 @@ def test_fair_flow_matches_per_step_clustering(m, metric):
     mu = 2.0 * div(X[gmm(X, k, met)], met)
     while True:
         labels = oracle_threshold_clusters(X[core_idx], met, mu / (m + 1))
-        sol = _solve_flow(grp[core_idx], labels, ks, sorted(ks), k)
-        if sol is not None:
+        sol = max_common_independent_set(
+            PartitionMatroid(grp[core_idx], ks), PartitionMatroid(labels, 1), target=k
+        )
+        if len(sol) == k:
             break
         mu *= 0.95
-    want = core_idx[sol]
+    want = core_idx[sorted(sol)]
     idx, d = fair_flow(X, grp, ks, metric)
     assert np.array_equal(idx, want) and d == div(X[want], met)
 
@@ -169,6 +172,26 @@ def test_fair_gmm_beats_or_matches_fair_swap_small_k():
     _, d_g = fair_gmm(X, grp, ks, "euclidean")
     _, d_s = fair_swap(X, grp, ks, "euclidean")
     assert d_g >= d_s * 0.9
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_group_gmm_prefixes_are_per_group_gmm(m):
+    # FairFlow's and FairGMM's coreset: per group, GMM over its rows with
+    # min(k, group size) points. The last group keeps 3 rows, fewer than k.
+    from repro.baselines.gmm import gmm, group_gmm_prefixes
+
+    g = np.random.default_rng(3)
+    X = g.normal(size=(300, 2)) * 3
+    grp = g.integers(0, m, 300)
+    grp[np.flatnonzero(grp == m - 1)[3:]] = 0
+    ks = {i: 2 + i % 2 for i in range(m)}
+    k = sum(ks.values())
+    prefixes = group_gmm_prefixes(X, grp, ks, MET)
+    assert list(prefixes) == sorted(ks)
+    for i in ks:
+        members = np.flatnonzero(grp == i)
+        want = members[gmm(X[members], min(k, len(members)), MET)]
+        assert np.array_equal(prefixes[i], want)
 
 
 def test_fair_gmm_combinatorial_guard():

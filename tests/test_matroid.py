@@ -23,6 +23,37 @@ def brute_max_intersection(m1: PartitionMatroid, m2: PartitionMatroid) -> int:
     return best
 
 
+def ford_fulkerson(n, edges, s, t):
+    """Reference max-flow (BFS augmenting paths on a capacity matrix)."""
+    cap = np.zeros((n, n), dtype=np.int64)
+    for u, v, c in edges:
+        cap[u, v] += c
+    flow = 0
+    while True:
+        parent = [-1] * n
+        parent[s] = s
+        q = [s]
+        while q:
+            u = q.pop(0)
+            for v in range(n):
+                if cap[u, v] > 0 and parent[v] < 0:
+                    parent[v] = u
+                    q.append(v)
+        if parent[t] < 0:
+            return flow
+        # find bottleneck
+        b, v = 1 << 60, t
+        while v != s:
+            b = min(b, cap[parent[v], v])
+            v = parent[v]
+        v = t
+        while v != s:
+            cap[parent[v], v] -= b
+            cap[v, parent[v]] += b
+            v = parent[v]
+        flow += b
+
+
 # -- partition matroid axioms ------------------------------------------------
 
 def random_matroid(seed, n=8, n_labels=3, max_cap=2):
@@ -188,3 +219,32 @@ def test_intersection_matches_oracle(seed, mode):
     kw = dict(init=init, dist_matrix=D, target=target)
     want = oracle_max_common_independent_set(m1, m2, **kw)
     assert max_common_independent_set(m1, m2, **kw) == want
+
+
+# -- Algorithm 4 vs FairFlow's max-flow network -------------------------------
+
+@pytest.mark.parametrize("seed", range(40))
+def test_intersection_size_is_fair_flow_max_flow(seed):
+    # FairFlow's network: source -(k_i)-> group i -(1)-> element -(1)->
+    # cluster -(1)-> sink. Its max flow is the size of a maximum common
+    # independent set of the fairness matroid and the cluster matroid.
+    g = np.random.default_rng(seed)
+    n = int(g.integers(3, 61))
+    n_groups = int(g.integers(1, 6))
+    ks = {i: int(g.integers(0, 5)) for i in range(n_groups)}
+    grp = g.integers(0, n_groups, n)
+    labels = g.integers(0, int(g.integers(1, n + 1)), n)
+    e0, c0 = 1 + n_groups, 1 + n_groups + n
+    t = c0 + int(labels.max()) + 1
+    edges = [(0, 1 + i, kg) for i, kg in ks.items()]
+    for x in range(n):
+        edges += [(1 + int(grp[x]), e0 + x, 1), (e0 + x, c0 + int(labels[x]), 1)]
+    edges += [(c, t, 1) for c in range(c0, t)]
+    flow = ford_fulkerson(t + 1, edges, 0, t)
+    m1, m2 = PartitionMatroid(grp, ks), PartitionMatroid(labels, 1)
+    S = max_common_independent_set(m1, m2)
+    arr = np.array(sorted(S), dtype=np.int64)
+    assert m1.is_independent(arr) and m2.is_independent(arr)
+    assert len(S) == flow
+    k = sum(ks.values())
+    assert (len(max_common_independent_set(m1, m2, target=k)) == k) == (flow == k)

@@ -123,6 +123,15 @@ def test_groups_must_cover_quotas():
         run(X, grp, {0: 3, 1: 3})
 
 
+def test_short_group_named_when_no_guess_qualifies():
+    X = np.random.default_rng(7).normal(size=(40, 2))
+    grp = np.zeros(40, dtype=int)
+    grp[[5, 20]] = 1
+    msg = "SFDM1: group 1 has 2 stored rows, fewer than its quota 3"
+    with pytest.raises(RuntimeError, match=msg):
+        run(X, grp, {0: 3, 1: 3})
+
+
 def test_group_without_quota_rejected_at_update():
     g = np.random.default_rng(7)
     X = g.normal(size=(30, 2))

@@ -145,6 +145,15 @@ def test_infeasible_quota_raises():
         run(X, grp, {0: 2, 1: 2})
 
 
+def test_short_group_named_when_no_guess_qualifies():
+    X = np.random.default_rng(7).normal(size=(40, 2))
+    grp = np.zeros(40, dtype=int)
+    grp[[5, 20]] = 1
+    msg = "SFDM2: group 1 has 2 stored rows, fewer than its quota 3"
+    with pytest.raises(RuntimeError, match=msg):
+        run(X, grp, {0: 3, 1: 3})
+
+
 # -- one store-wide matrix per solve vs the per-guess oracle -----------------
 
 @pytest.mark.parametrize("m", [2, 3, 14])
