@@ -2,8 +2,9 @@
 
 Generates a dataset stand-in, materializes it as a parquet file-stream,
 estimates the extent with the Catalyst self-join pre-pass, then runs
-SFDM1/SFDM2 as a ``foreachBatch`` streaming job with the broadcast-state
-prefilter (DESIGN.md §3) and prints the fair solution.
+SFDM1/SFDM2 as a ``foreachBatch`` streaming job that collects each
+micro-batch to the driver and applies it there (DESIGN.md §3), and prints the
+fair solution.
 
 Usage: spark-submit jobs/stream_sfdm.py [--dataset adult] [--grouping sex]
            [--algo sfdm2] [--k 20] [--eps 0.1] [--n 20000] [--batches 8]
@@ -43,7 +44,7 @@ def main(spark: SparkSession, args) -> None:
         f"diversity={result.diversity:.4f} stored={result.n_stored} "
         f"batches={stats.n_batches} rows={stats.n_rows} "
         f"survivors={stats.n_survivors} "
-        f"(prefilter kept {stats.n_survivors / max(stats.n_rows, 1):.1%})\n"
+        f"(rejection kernel kept {stats.n_survivors / max(stats.n_rows, 1):.1%})\n"
         f"solution ids={sorted(result.ids.tolist())}"
     )
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..metrics import Metric, get_metric
+from ..metrics import Metric
 
-__all__ = ["CandidateBank", "StreamState", "keep_mask", "survives_snapshot"]
+__all__ = ["CandidateBank", "StreamState", "keep_mask"]
 
 _CHUNK = 1024  # rows per rejection step of StreamState.update
 _BLOCK_BYTES = 1 << 20  # target size of one keep_mask temporary
@@ -97,6 +97,7 @@ class StreamState:
         self._ids = np.zeros(cap0, dtype=np.int64)
         self.n_stored = 0
         self.n_seen = 0
+        self.n_kept = 0  # rows keep_mask passed to the per-element test
 
     # -- store access -------------------------------------------------------
     @property
@@ -144,8 +145,9 @@ class StreamState:
            The kernel computes distances with :meth:`Metric.rows_to_rows`,
            the same arithmetic as ``point_to_rows``, so it never rejects a
            row at a tie the per-element test would accept.
-        2. The survivors go through the exact per-element test
-           (``point_to_rows`` + ``accept_mask``) in stream order.
+        2. The survivors, counted in ``n_kept``, go through the exact
+           per-element test (``point_to_rows`` + ``accept_mask``) in stream
+           order.
 
         Raises ``ValueError`` naming the stream id of the first row with a
         NaN or infinite feature, or (when there are group banks) of the first
@@ -169,8 +171,11 @@ class StreamState:
             )
         for lo in range(0, b, _CHUNK):
             X, G = feats[lo : lo + _CHUNK], groups[lo : lo + _CHUNK]
-            keep = keep_mask(self.metric, self.mus, self.feats, self._banks(), X, G)
-            for r in lo + np.flatnonzero(keep):
+            kept = lo + np.flatnonzero(
+                keep_mask(self.metric, self.mus, self.feats, self._banks(), X, G)
+            )
+            self.n_kept += kept.size
+            for r in kept:
                 self._offer(feats[r], int(groups[r]), int(ids[r]))
         self.n_seen += b
 
@@ -199,9 +204,9 @@ class StreamState:
             for g, b in [(None, self.blind), *self.group_banks.items()]
         ]
 
-    # -- distributed prefilter ----------------------------------------------
+    # -- state copy -----------------------------------------------------------
     def snapshot(self) -> dict:
-        """Immutable state snapshot for broadcasting to executors."""
+        """An immutable copy of the state's arrays (metric name, guesses, store, banks)."""
         return {
             "metric": self.metric.name,
             "mus": self.mus.copy(),
@@ -255,22 +260,3 @@ def keep_mask(
             out[r] |= (D[:, idx].min(axis=2) >= mu).any(axis=1)
     return out
 
-
-def survives_snapshot(
-    snap: dict, feats: np.ndarray, groups: np.ndarray
-) -> np.ndarray:
-    """Vectorized prefilter: True where an element *might* still be accepted.
-
-    :func:`keep_mask` over a state snapshot. Safe to drop False rows:
-    candidates only grow and ``d(x,S)`` only shrinks, so rejection against
-    an older state implies rejection against every later state (see
-    DESIGN.md §3).
-    """
-    return keep_mask(
-        get_metric(snap["metric"]),
-        snap["mus"],
-        snap["feats"],
-        snap["banks"],
-        np.asarray(feats, dtype=np.float64),
-        np.asarray(groups, dtype=np.int64),
-    )

@@ -2,20 +2,15 @@
 
 ``run_streaming_fdm`` reads a parquet file-stream of (id, group, features)
 micro-batches (``maxFilesPerTrigger=1`` + ``Trigger.AvailableNow``) and, in
-``foreachBatch``:
+``foreachBatch``, collects each micro-batch to the driver as one Arrow table
+and applies its rows, in stream-id order, to the driver-held
+:class:`~repro.core.bank.StreamState`. ``StreamState.update`` rejects each
+chunk with the exactly-safe :func:`~repro.core.bank.keep_mask` kernel before
+its per-element test, so the driver's kernel is the prefilter (DESIGN.md §3).
 
-1. broadcasts the current candidate state (stored features + per-guess
-   membership masks + sizes) to the executors;
-2. runs a ``mapInPandas`` **prefilter** that drops every element that cannot
-   be accepted by any candidate of any guess — exactly safe, because
-   candidates only grow and ``d(x, S)`` only shrinks, so rejection against
-   the start-of-batch state implies rejection forever (DESIGN.md §3);
-3. collects the (few) survivors and applies them to the driver-held
-   :class:`~repro.core.bank.StreamState` in exact sequential order.
-
-The final state equals a sequential run over some permutation of the stream;
-the paper's guarantees are permutation-independent. After the stream drains,
-the paper's post-processing runs on the driver over the bounded store only.
+The final state equals a sequential run over the rows in the order the
+micro-batches were processed. After the stream drains, the paper's
+post-processing runs on the driver over the bounded store only.
 """
 from __future__ import annotations
 
@@ -24,11 +19,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from pyspark.errors import StreamingQueryException
 from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 
 from .._stream_common import make_algo
-from ..core.bank import survives_snapshot
 from ..core.stream_dm import DMResult
 from ..datasets import Dataset
 
@@ -70,9 +65,34 @@ def write_stream_input(dataset: Dataset, path: str, *, n_files: int = 8) -> None
         os.utime(out, ns=(stamp, stamp))
 
 
+def _batch_arrays(table, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(feats, groups, ids)`` of a collected micro-batch, in stream-id order.
+
+    Raises ``ValueError`` naming the stream id of the first row whose
+    features are not ``dim`` long, before the flattened list column is
+    reshaped to ``(rows, dim)``: a ragged row would misalign every row after it.
+    """
+    ids = table.column("id").to_numpy()
+    order = np.argsort(ids, kind="stable")
+    col = table.column("features").combine_chunks()
+    lengths = col.value_lengths().fill_null(-1).to_numpy()
+    bad = np.flatnonzero(lengths[order] != dim)
+    if bad.size:
+        r = order[bad[0]]
+        raise ValueError(
+            f"stream id {int(ids[r])} has {int(lengths[r])} features, expected {dim}"
+        )
+    feats = col.flatten().to_numpy(zero_copy_only=False).reshape(len(ids), dim)
+    return feats[order], table.column("group").to_numpy()[order], ids[order]
+
+
 @dataclass
 class StreamRunStats:
-    """Operational counters from a streaming run."""
+    """Operational counters from a streaming run.
+
+    ``n_rows`` counts the rows of every micro-batch; ``n_survivors`` the rows
+    the rejection kernel of ``StreamState.update`` kept for the exact test.
+    """
 
     n_batches: int = 0
     n_rows: int = 0
@@ -92,47 +112,26 @@ def run_streaming_fdm(
     dim: int,
     checkpoint_dir: str,
 ) -> tuple[DMResult, StreamRunStats]:
-    """Run SFDM1/SFDM2 as a Structured Streaming job; returns (result, stats)."""
+    """Run SFDM1/SFDM2 as a Structured Streaming job; returns (result, stats).
+
+    A micro-batch that fails (a bad row, say) stops the query, and the
+    Python exception it raised is re-raised here in place of Spark's
+    ``StreamingQueryException`` wrapper.
+    """
     solver = make_algo(algo, metric, ks=ks, eps=eps, d_min=d_min, d_max=d_max, dim=dim)
     stats = StreamRunStats()
-    sc = spark.sparkContext
-    # Rows are counted where the prefilter reads them: a count() of each
-    # micro-batch would run it again as a second job.
-    rows = sc.accumulator(0)
+    failed: list[Exception] = []
 
     def process_batch(batch_df, batch_id: int) -> None:
-        snap = solver.state.snapshot()
-        b = sc.broadcast(snap)
-
-        def prefilter(batches):
-            for pdf in batches:
-                rows.add(len(pdf))
-                if len(pdf) == 0:
-                    continue
-                keep = survives_snapshot(
-                    b.value,
-                    np.stack(pdf["features"].to_numpy()),
-                    pdf["group"].to_numpy(),
-                )
-                out = pdf[keep]
-                if len(out):
-                    yield out
-
-        survivors = (
-            batch_df.mapInPandas(prefilter, schema=STREAM_SCHEMA)
-            .toPandas()
-            .sort_values("id")
-        )
+        try:
+            feats, groups, ids = _batch_arrays(batch_df.toArrow(), dim)
+            solver.update(feats, groups, ids)
+        except Exception as e:
+            failed.append(e)
+            raise
         stats.n_batches += 1
-        stats.n_rows = rows.value
-        stats.n_survivors += len(survivors)
-        if len(survivors):
-            solver.update(
-                np.stack(survivors["features"].to_numpy()),
-                survivors["group"].to_numpy(),
-                survivors["id"].to_numpy(),
-            )
-        b.unpersist()
+        stats.n_rows += len(ids)
+        stats.n_survivors = solver.state.n_kept
 
     stream = (
         spark.readStream.schema(STREAM_SCHEMA)
@@ -145,5 +144,10 @@ def run_streaming_fdm(
         .trigger(availableNow=True)
         .start()
     )
-    query.awaitTermination()
+    try:
+        query.awaitTermination()
+    except StreamingQueryException:
+        if failed:
+            raise failed[0]
+        raise
     return solver.solve(), stats

@@ -1,10 +1,10 @@
 """StreamState / CandidateBank: acceptance semantics, chunk invariance,
-snapshot prefilter safety, and the rejection kernel against the per-element
-oracle."""
+prefilter safety of the rejection kernel over an earlier state, and the
+kernel path against the per-element oracle."""
 import numpy as np
 import pytest
 
-from repro.core.bank import StreamState, keep_mask, survives_snapshot
+from repro.core.bank import StreamState, keep_mask
 from repro.extent import exact_extent
 from repro.guesses import guess_grid
 from repro.metrics import METRICS, get_metric
@@ -151,7 +151,13 @@ def test_empty_guess_grid_rejected():
         StreamState(MET, np.array([]), 2, 3)
 
 
-# -- snapshot / prefilter ----------------------------------------------------
+# -- prefilter: the kernel over an earlier state -------------------------------
+
+def kept_by_copy(st, feats, groups):
+    """``keep_mask`` over a copy of ``st``'s arrays, as of this call."""
+    banks = [(g, m.copy(), s.copy(), cap) for g, m, s, cap in st._banks()]
+    return keep_mask(st.metric, st.mus.copy(), st.feats.copy(), banks, feats, groups)
+
 
 def _full_state_and_batch(seed=3, n_pre=150, n_batch=80):
     g = np.random.default_rng(seed)
@@ -164,14 +170,14 @@ def _full_state_and_batch(seed=3, n_pre=150, n_batch=80):
 
 def test_prefilter_empty_state_keeps_all():
     st = make_state(caps={0: 1, 1: 1})
-    keep = survives_snapshot(st.snapshot(), np.ones((5, 2)), np.zeros(5, dtype=int))
+    keep = kept_by_copy(st, np.ones((5, 2)), np.zeros(5, dtype=int))
     assert keep.all()
 
 
 def test_prefilter_is_superset_of_accepted():
     # every element the exact sequential update would store must survive
     st, Xb, gb = _full_state_and_batch()
-    keep = survives_snapshot(st.snapshot(), Xb, gb)
+    keep = kept_by_copy(st, Xb, gb)
     # continue the *same* state and record which batch rows get stored
     before = st.n_stored
     ids = np.arange(1000, 1000 + len(Xb))
@@ -184,7 +190,7 @@ def test_prefilter_is_superset_of_accepted():
 
 def test_prefilter_drops_something_once_warm():
     st, Xb, gb = _full_state_and_batch()
-    keep = survives_snapshot(st.snapshot(), Xb, gb)
+    keep = kept_by_copy(st, Xb, gb)
     assert keep.sum() < len(Xb)  # warm state rejects most of a random batch
 
 
@@ -205,7 +211,7 @@ def test_prefilter_keeps_exact_ties():
         mu = MET.point_to_rows(b, a[None, :])[0]
         st = StreamState(MET, np.array([mu]), 6, 2)
         st.update(a[None, :])
-        keep = survives_snapshot(st.snapshot(), b[None, :], np.zeros(1, dtype=int))
+        keep = kept_by_copy(st, b[None, :], np.zeros(1, dtype=int))
         st.update(b[None, :])
         assert st.n_stored == 2
         assert keep[0]
@@ -214,7 +220,24 @@ def test_prefilter_keeps_exact_ties():
 def test_survives_snapshot_is_the_kernel():
     st, Xb, gb = _full_state_and_batch()
     want = keep_mask(st.metric, st.mus, st.feats, st._banks(), Xb, gb)
-    assert np.array_equal(survives_snapshot(st.snapshot(), Xb, gb), want)
+    assert np.array_equal(kept_by_copy(st, Xb, gb), want)
+
+
+def test_n_kept_counts_the_rows_offered(monkeypatch):
+    # n_kept is the number of rows keep_mask passes to the per-element test
+    offered = []
+    real = StreamState._offer
+    monkeypatch.setattr(
+        StreamState, "_offer", lambda self, *a: (offered.append(a[2]), real(self, *a))
+    )
+    X, G, ids = _random_stream("euclidean", seed=5, n=3000)
+    st = StreamState(MET, guess_grid(*exact_extent(X[:300], MET), 0.15), X.shape[1], 6,
+                     group_caps={0: 2, 1: 2, 2: 2})
+    st.update(X[:1700], G[:1700], ids[:1700])
+    st.update(X[1700:], G[1700:], ids[1700:])
+    assert st.n_kept == len(offered)
+    assert st.n_stored <= st.n_kept <= st.n_seen
+    assert st.n_kept < st.n_seen  # the kernel rejected rows
 
 
 # -- bad input ---------------------------------------------------------------

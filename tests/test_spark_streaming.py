@@ -1,14 +1,28 @@
 """Structured Streaming FDM job: end-to-end correctness of the foreachBatch
-runner with the broadcast-state prefilter."""
+runner, which collects each micro-batch to the driver and applies it there,
+and its rejection of bad rows at the batch boundary."""
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
+from repro._stream_common import make_algo
 from repro.datasets import blobs
 from repro.diversity import brute_fair_opt
 from repro.extent import exact_extent
 from repro.spark.streaming import run_streaming_fdm, write_stream_input
+
+
+def run_blobs(spark, tmp_path, ds, lo, hi, *, algo="sfdm2", ks=None, eps=0.2, n_files=8):
+    inp = str(tmp_path / "input")
+    write_stream_input(ds, inp, n_files=n_files)
+    return run_streaming_fdm(
+        spark, inp, algo=algo, metric=ds.metric_name, ks=ks or {0: 2, 1: 2},
+        eps=eps, d_min=lo, d_max=hi, dim=ds.dim,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
 
 
 def test_write_stream_input_files(tmp_path):
@@ -52,13 +66,7 @@ def test_streaming_prefilter_drops_rows(spark, tmp_path):
     # with many batches, later batches should be heavily prefiltered
     ds = blobs(800, 2, seed=6)
     lo, hi = exact_extent(ds.feats, ds.metric)
-    inp = str(tmp_path / "input")
-    write_stream_input(ds, inp, n_files=8)
-    res, stats = run_streaming_fdm(
-        spark, inp, algo="sfdm2", metric=ds.metric_name, ks={0: 2, 1: 2},
-        eps=0.2, d_min=lo, d_max=hi, dim=ds.dim,
-        checkpoint_dir=str(tmp_path / "ckpt"),
-    )
+    _, stats = run_blobs(spark, tmp_path, ds, lo, hi)
     assert stats.n_survivors < stats.n_rows  # prefilter did real work
 
 
@@ -83,3 +91,53 @@ def test_streaming_matches_theory_bound(spark, tmp_path):
     )
     # the run equals a sequential pass over some permutation -> bound holds
     assert res.diversity >= (1 - eps) / 4 * optf - 1e-9
+
+
+@pytest.mark.parametrize("algo", ["sfdm1", "sfdm2"])
+def test_streaming_equals_sequential_run(spark, tmp_path, algo):
+    # the job applies every row on the driver in stream order, so it must
+    # reproduce a sequential run over the same rows exactly
+    ds = blobs(1200, 2, seed=8)
+    lo, hi = exact_extent(ds.feats, ds.metric)
+    ks = {0: 3, 1: 3}
+    res, stats = run_blobs(spark, tmp_path, ds, lo, hi, algo=algo, ks=ks, eps=0.1, n_files=6)
+    seq = make_algo(algo, ds.metric_name, ks=ks, eps=0.1, d_min=lo, d_max=hi, dim=ds.dim)
+    seq.update(ds.feats, ds.groups, np.arange(ds.n))
+    ref = seq.solve()
+    assert np.array_equal(res.ids, ref.ids)
+    assert res.mu == ref.mu and res.diversity == ref.diversity
+    assert res.n_stored == ref.n_stored
+    assert stats.n_batches == 6 and stats.n_rows == ds.n
+    assert res.n_stored <= stats.n_survivors <= stats.n_rows
+
+
+@pytest.mark.parametrize("bad", ["nan", "group9"])
+def test_streaming_rejects_bad_row_with_its_id(spark, tmp_path, bad):
+    # a row the rejection kernel would drop must still fail at its batch
+    ds = blobs(800, 2, seed=6)
+    lo, hi = exact_extent(ds.feats, ds.metric)
+    if bad == "nan":
+        ds.feats[700, 0] = np.nan
+    else:
+        ds.groups[700] = 9
+    with pytest.raises(ValueError, match="stream id 700 "):
+        run_blobs(spark, tmp_path, ds, lo, hi)
+
+
+def test_streaming_rejects_ragged_row_with_its_id(spark, tmp_path):
+    ds = blobs(800, 2, seed=6)
+    lo, hi = exact_extent(ds.feats, ds.metric)
+    inp = str(tmp_path / "input")
+    write_stream_input(ds, inp, n_files=8)
+    last = os.path.join(inp, "batch-00007.parquet")  # ids 700..799
+    st = os.stat(last)
+    rows = pq.read_table(last).to_pydict()
+    rows["features"][0] = rows["features"][0] + [0.5]
+    pq.write_table(pa.Table.from_pydict(rows), last)
+    os.utime(last, ns=(st.st_atime_ns, st.st_mtime_ns))
+    with pytest.raises(ValueError, match="stream id 700 has 3 features, expected 2"):
+        run_streaming_fdm(
+            spark, inp, algo="sfdm2", metric=ds.metric_name, ks={0: 2, 1: 2},
+            eps=0.2, d_min=lo, d_max=hi, dim=ds.dim,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
