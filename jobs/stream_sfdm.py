@@ -1,7 +1,7 @@
 """spark-submit entrypoint: the Structured Streaming FDM job end-to-end.
 
 Generates a dataset stand-in, materializes it as a parquet file-stream,
-estimates the extent with the Catalyst self-join pre-pass, then runs
+estimates the extent from one sample collected to the driver, then runs
 SFDM1/SFDM2 as a ``foreachBatch`` streaming job that collects each
 micro-batch to the driver and applies it there (DESIGN.md §3), and prints the
 fair solution.

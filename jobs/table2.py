@@ -16,8 +16,7 @@ from repro.harness.table2 import format_table2, run_table2
 
 def main(spark: SparkSession, args) -> None:
     # The core run is driver-side (the paper's algorithms are sequential by
-    # definition); Spark hosts the data generation in the streaming/coreset
-    # jobs — see jobs/stream_sfdm.py for the distributed path.
+    # definition); jobs/stream_sfdm.py is the Structured Streaming path.
     df = run_table2(
         k=args.k,
         runs=args.runs,

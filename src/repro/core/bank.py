@@ -22,7 +22,7 @@ import numpy as np
 
 from ..metrics import Metric
 
-__all__ = ["CandidateBank", "StreamState", "keep_mask"]
+__all__ = ["CandidateBank", "StreamState", "check_finite", "keep_mask"]
 
 _CHUNK = 1024  # rows per rejection step of StreamState.update
 _BLOCK_BYTES = 1 << 20  # target size of one keep_mask temporary
@@ -161,9 +161,7 @@ class StreamState:
         if ids is None:
             ids = np.arange(self.n_seen, self.n_seen + b, dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
-        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-        if bad.size:
-            raise ValueError(f"stream id {int(ids[bad[0]])} has a non-finite feature")
+        check_finite(feats, ids)
         if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
             r = np.flatnonzero(~np.isin(groups, list(self.group_banks)))[0]
             raise ValueError(
@@ -213,6 +211,13 @@ class StreamState:
             "feats": self.feats.copy(),
             "banks": [(g, m.copy(), s.copy(), cap) for g, m, s, cap in self._banks()],
         }
+
+
+def check_finite(feats: np.ndarray, ids: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the id of the first row with a NaN or infinite feature."""
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"stream id {int(ids[bad[0]])} has a non-finite feature")
 
 
 def keep_mask(

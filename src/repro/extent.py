@@ -4,28 +4,30 @@ The paper assumes ``d_min``/``d_max`` (hence Delta = d_max/d_min) are known.
 In a deployment they are estimated from a sample before the stream starts;
 ``estimate_extent`` does that (sampled, with safety factors), while
 ``exact_extent`` computes honest extremes for small instances so tests can
-verify the theoretical approximation bounds.
+verify the theoretical approximation bounds. The Spark pre-pass,
+:func:`repro.spark.extent.spark_extent`, shares ``pair_extent`` and the
+safety factors ``LO_FACTOR``/``HI_FACTOR``.
 """
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
 from .metrics import Metric
 
 _BLOCK = 2048
+LO_FACTOR, HI_FACTOR = 0.5, 2.0  # d_min is scaled down, d_max up
 
 
-def exact_extent(X: np.ndarray, metric: Metric) -> tuple[float, float]:
-    """Exact (min nonzero, max) pairwise distance. O(n^2) — small n only."""
-    n = len(X)
-    if n < 2:
-        raise ValueError("need at least 2 points")
+def pair_extent(blocks: Iterable[np.ndarray]) -> tuple[float, float]:
+    """(min nonzero, max) over blocks of pair distances; NaN entries are not pairs.
+
+    Raises ``ValueError`` when no pair distance is nonzero: all points are
+    identical, so ``d_min`` is undefined.
+    """
     d_min, d_max = np.inf, 0.0
-    for i in range(0, n, _BLOCK):
-        D = metric.pairwise(X[i : i + _BLOCK], X)
-        # mask the diagonal block's self-distances
-        for r in range(D.shape[0]):
-            D[r, i + r] = np.nan
+    for D in blocks:
         nz = D[(D > 0) & ~np.isnan(D)]
         if nz.size:
             d_min = min(d_min, float(nz.min()))
@@ -35,14 +37,30 @@ def exact_extent(X: np.ndarray, metric: Metric) -> tuple[float, float]:
     return d_min, d_max
 
 
+def exact_extent(X: np.ndarray, metric: Metric) -> tuple[float, float]:
+    """Exact (min nonzero, max) pairwise distance. O(n^2) — small n only."""
+    n = len(X)
+    if n < 2:
+        raise ValueError(f"need at least 2 points, got {n}")
+
+    def blocks():
+        for i in range(0, n, _BLOCK):
+            D = metric.pairwise(X[i : i + _BLOCK], X)
+            r = np.arange(len(D))
+            D[r, i + r] = np.nan  # the diagonal block's self-distances
+            yield D
+
+    return pair_extent(blocks())
+
+
 def estimate_extent(
     X: np.ndarray,
     metric: Metric,
     *,
     sample: int = 1000,
     seed: int = 0,
-    lo_factor: float = 0.5,
-    hi_factor: float = 2.0,
+    lo_factor: float = LO_FACTOR,
+    hi_factor: float = HI_FACTOR,
 ) -> tuple[float, float]:
     """Sampled extent with safety factors.
 

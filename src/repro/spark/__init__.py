@@ -1,3 +1,2 @@
-"""Spark-facing layers: Catalyst distance expressions, distributed extent
-estimation, the composable-coreset batch runner, and the Structured Streaming
-FDM job (DESIGN.md §3)."""
+"""Spark-facing layers: the extent pre-pass over a sampled DataFrame and the
+Structured Streaming FDM job (DESIGN.md §3)."""

@@ -65,25 +65,35 @@ def write_stream_input(dataset: Dataset, path: str, *, n_files: int = 8) -> None
         os.utime(out, ns=(stamp, stamp))
 
 
-def _batch_arrays(table, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(feats, groups, ids)`` of a collected micro-batch, in stream-id order.
+def _sorted_features(table, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, feats)`` of a collected table with ``id`` and ``features`` columns.
 
-    Raises ``ValueError`` naming the stream id of the first row whose
-    features are not ``dim`` long, before the flattened list column is
-    reshaped to ``(rows, dim)``: a ragged row would misalign every row after it.
+    ``order`` sorts the rows by id (stably) and ``feats`` is the ``(rows, dim)``
+    feature matrix in that order; ``dim=None`` takes the most common length.
+    Raises ``ValueError`` naming the id of the first row whose features are
+    not ``dim`` long, before the flattened list column is reshaped: a ragged
+    row would misalign every row after it.
     """
     ids = table.column("id").to_numpy()
     order = np.argsort(ids, kind="stable")
     col = table.column("features").combine_chunks()
     lengths = col.value_lengths().fill_null(-1).to_numpy()
+    if dim is None:
+        vals, counts = np.unique(lengths, return_counts=True)
+        dim = int(vals[counts.argmax()])
     bad = np.flatnonzero(lengths[order] != dim)
     if bad.size:
         r = order[bad[0]]
         raise ValueError(
             f"stream id {int(ids[r])} has {int(lengths[r])} features, expected {dim}"
         )
-    feats = col.flatten().to_numpy(zero_copy_only=False).reshape(len(ids), dim)
-    return feats[order], table.column("group").to_numpy()[order], ids[order]
+    return order, col.flatten().to_numpy(zero_copy_only=False).reshape(len(ids), dim)[order]
+
+
+def _batch_arrays(table, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(feats, groups, ids)`` of a collected micro-batch, in stream-id order."""
+    order, feats = _sorted_features(table, dim)
+    return feats, table.column("group").to_numpy()[order], table.column("id").to_numpy()[order]
 
 
 @dataclass

@@ -1,4 +1,6 @@
 """Metric substrate: axioms, known values, vectorized-form consistency."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,23 @@ def test_rows_to_rows_entries_depend_on_their_pair_only(name):
     for i, x in enumerate(X):
         assert np.array_equal(m.point_to_rows(x, A), D[i])
         assert np.array_equal(m.point_to_rows(x, A[cols]), D[i, cols])
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+@pytest.mark.parametrize("name", ["euclidean", "manhattan"])
+def test_rows_to_rows_is_a_left_fold_below_8_features(name, dim):
+    # numpy sums fewer than 8 terms in order, so each entry is the fold
+    # aggregate(zip_with(x, a, ...), 0D, (acc, v) -> acc + v); the Spark
+    # extent pre-pass relies on it (DESIGN.md §3)
+    g = np.random.default_rng(dim)
+    X, A = g.normal(size=(30, dim)) * 3, g.normal(size=(40, dim)) * 3
+    D = get_metric(name).rows_to_rows(X, A)
+    for i, x in enumerate(X.tolist()):
+        for j, a in enumerate(A.tolist()):
+            acc = 0.0
+            for xf, af in zip(x, a):
+                acc += (xf - af) * (xf - af) if name == "euclidean" else abs(xf - af)
+            assert D[i, j] == (math.sqrt(acc) if name == "euclidean" else acc)
 
 
 @pytest.mark.parametrize("name", METRICS)
