@@ -7,7 +7,11 @@ at n = 10,000 so regressions are visible in seconds, not minutes).
 Streaming algorithms are additionally split into their two phases —
 ``stream`` (one-pass update; the paper's per-element update time) and
 ``post`` (solution computation; the paper's Table II time column).
+``post_rebuild`` times the first solve of a copied solver, which rebuilds
+the store's distance matrix that copies leave out.
 """
+import copy
+
 import numpy as np
 import pytest
 
@@ -64,8 +68,7 @@ def test_stream_phase(benchmark, algo):
     assert s.state.n_stored > 0
 
 
-@pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14)])
-def test_post_phase(benchmark, algo, m):
+def _streamed(algo, m):
     ds, ks = _config(m)
     extent = estimate_extent(ds.feats, ds.metric)
     s = make_algo(
@@ -73,5 +76,22 @@ def test_post_phase(benchmark, algo, m):
         d_min=extent[0], d_max=extent[1], dim=ds.dim,
     )
     s.update(ds.feats, ds.groups)
+    return s
+
+
+@pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14)])
+def test_post_phase(benchmark, algo, m):
+    s = _streamed(algo, m)
     res = benchmark.pedantic(s.solve, rounds=3, iterations=1)
+    assert np.unique(res.groups, return_counts=True)[1].sum() == K
+
+
+@pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14)])
+def test_post_phase_rebuild(benchmark, algo, m):
+    # What a copied or restored solver pays: each round solves a fresh deep
+    # copy (made in the untimed setup), so SFDM2 rebuilds its distance matrix.
+    s = _streamed(algo, m)
+    res = benchmark.pedantic(
+        lambda c: c.solve(), setup=lambda: ((copy.deepcopy(s),), {}), rounds=3, iterations=1
+    )
     assert np.unique(res.groups, return_counts=True)[1].sum() == K

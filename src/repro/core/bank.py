@@ -15,6 +15,10 @@ evaluated against the *blind* bank and the bank of x's own group only, exactly
 as in Algorithms 2/3. :meth:`StreamState.update` first drops, per chunk, the
 rows that :func:`keep_mask` shows no candidate can accept, then applies the
 rule to the rest in order.
+
+The state also keeps the store's distance matrix (:meth:`StreamState.distances`),
+written as rows are stored from the distance vector the rule already computed,
+so SFDM2's post-processing computes no store-wide distances of its own.
 """
 from __future__ import annotations
 
@@ -25,7 +29,8 @@ from ..metrics import Metric
 __all__ = ["CandidateBank", "StreamState", "check_finite", "keep_mask"]
 
 _CHUNK = 1024  # rows per rejection step of StreamState.update
-_BLOCK_BYTES = 1 << 20  # target size of one keep_mask temporary
+_BLOCK_BYTES = 1 << 20  # target size of one keep_mask / distances temporary
+_DIST_GROWTH = 1.25  # capacity step of the store's distance matrix
 
 
 class CandidateBank:
@@ -98,6 +103,10 @@ class StreamState:
         self.n_stored = 0
         self.n_seen = 0
         self.n_kept = 0  # rows keep_mask passed to the per-element test
+        # Store distance matrix: its first _n_dist rows and columns hold
+        # rows_to_rows(feats, feats); the rest of the buffer is unset.
+        self._dist = np.empty((0, 0))
+        self._n_dist = 0
 
     # -- store access -------------------------------------------------------
     @property
@@ -113,7 +122,7 @@ class StreamState:
         return self._ids[: self.n_stored]
 
     def _append(self, x: np.ndarray, group: int, eid: int) -> int:
-        if self.n_stored == len(self._feats):
+        if self.n_stored + 1 == len(self._feats):  # keep a spare row for _offer
             new_cap = 2 * len(self._feats)
             self._feats = np.resize(self._feats, (new_cap, self.dim))
             self._groups = np.resize(self._groups, new_cap)
@@ -179,7 +188,11 @@ class StreamState:
 
     def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
         """Algorithm 1, line 5 for one element, against the blind and own-group bank."""
-        dists = self.metric.point_to_rows(x, self._feats[: self.n_stored])
+        # x goes into the spare row past the store first, so the vector ends
+        # with d(x, x): the diagonal entry of the distance matrix.
+        n = self.n_stored
+        self._feats[n] = x
+        dists = self.metric.point_to_rows(x, self._feats[: n + 1])
         acc_b = self.blind.accept_mask(dists, self.mus, self.n_stored)
         gb = self.group_banks.get(grp)
         acc_g = gb.accept_mask(dists, self.mus, self.n_stored) if gb is not None else None
@@ -187,12 +200,60 @@ class StreamState:
         took_g = acc_g is not None and bool(acc_g.any())
         if took_b or took_g:
             j = self._append(x, grp, eid)
+            if self._n_dist == j:  # else distances() completes the matrix
+                # Row j ends with the diagonal, which need not be exactly 0
+                # (angular); column j is the same vector, because
+                # rows_to_rows is symmetric bit for bit (its terms commute).
+                self._reserve_distances(j + 1)
+                self._dist[j, : j + 1] = dists
+                self._dist[:j, j] = dists[:j]
+                self._n_dist = j + 1
             if took_b:
                 self.blind.member[acc_b, j] = True
                 self.blind.sizes[acc_b] += 1
             if took_g:
                 gb.member[acc_g, j] = True
                 gb.sizes[acc_g] += 1
+
+    # -- store distance matrix ------------------------------------------------
+    def distances(self) -> np.ndarray:
+        """The store's distance matrix, ``rows_to_rows(feats, feats)`` bit for bit.
+
+        Rows stored while the matrix was complete were written by ``_offer``
+        from the distance vector the acceptance test used. The rest (all of
+        them in a copy, which drops the matrix) are computed here, once,
+        row-blocked so temporaries stay near ``_BLOCK_BYTES``.
+        """
+        n, lo = self.n_stored, self._n_dist
+        if lo < n:
+            self._reserve_distances(n)
+            D, X = self._dist, self.feats
+            step = max(1, _BLOCK_BYTES // (8 * n * self.dim))
+            for a in range(lo, n, step):
+                b = min(a + step, n)
+                R = self.metric.rows_to_rows(X[a:b], X[:b])
+                D[a:b, :b] = R
+                D[:a, a:b] = R[:, :a].T
+            self._n_dist = n
+        return self._dist[:n, :n]
+
+    def _reserve_distances(self, n: int) -> None:
+        """Make the matrix buffer hold at least n rows, in ``_DIST_GROWTH``
+        steps rather than the store's doubling (a 2,048² buffer is 33 MB)."""
+        cap = len(self._dist)
+        if n <= cap:
+            return
+        D = np.empty((max(n, 64, int(cap * _DIST_GROWTH)),) * 2)
+        k = self._n_dist
+        D[:k, :k] = self._dist[:k, :k]
+        self._dist = D
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the store, not its distance matrix: it is
+        O(n_stored²) and rebuilt by the first :meth:`distances` call."""
+        state = self.__dict__.copy()
+        state["_dist"], state["_n_dist"] = np.empty((0, 0)), 0
+        return state
 
     def _banks(self) -> list[tuple]:
         """``(group, member, sizes, cap)`` per bank; group None is the blind bank."""

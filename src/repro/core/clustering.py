@@ -34,7 +34,7 @@ def threshold_clusters(D: np.ndarray, threshold: float) -> np.ndarray:
     """Cluster labels (0..l-1) such that clusters are >= threshold apart.
 
     ``D`` is the (n x n) distance matrix of the points, e.g. a slice of the
-    store-wide matrix SFDM2's ``solve`` builds once. Any two points closer
+    store's distance matrix that SFDM2's ``solve`` reads. Any two points closer
     than ``threshold`` end up in the same cluster (transitively); the
     minimum cross-cluster distance is >= threshold.
     """

@@ -14,8 +14,9 @@ Post phase (lines 9-18), per guess μ with ``|S_μ| = k`` and
    far-point insertion + Cunningham augmentation), which augments ``S'_μ``
    to a fair size-k solution whenever one exists.
 
-``solve`` computes the store's distance matrix once and every guess slices
-it; the matrix is not kept between calls.
+Every guess slices the store's distance matrix, which the stream phase fills
+as it stores rows (:meth:`StreamState.distances`): ``solve`` computes no
+distance between stored rows, only ``div`` on each guess's k-row solution.
 """
 from __future__ import annotations
 
@@ -110,15 +111,17 @@ class SFDM2:
         if len(sol) != k:
             return None
         sol_idx = [int(s_all[x]) for x in sorted(sol)]
-        # div on the solution rows, not a slice of D_store: its own pairwise
-        # call can differ from the store-wide one in the last bit.
+        # The reported diversity is div's (Gram-form pairwise on the solution
+        # rows), as for every other algorithm; a slice of D_store, which is in
+        # rows_to_rows arithmetic, can differ from it in the last bit.
         return div(st.feats[sol_idx], self.metric), sol_idx
 
     def solve(self) -> DMResult:
-        """Best post-processed guess in U'. Builds the store's distance
-        matrix once per call; each guess slices it. Not kept across calls."""
+        """Best post-processed guess in U'. Each guess slices the store's
+        distance matrix, kept by the state across calls and updates; a copied
+        or unpickled solver rebuilds it on its first call."""
         st = self.state
-        D_store = self.metric.pairwise(st.feats, st.feats)
+        D_store = st.distances()
         best = None
         for g in range(len(self.mus)):
             if st.blind.sizes[g] != self.k:

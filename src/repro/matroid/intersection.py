@@ -27,7 +27,7 @@ class _Counts:
 
     def __init__(self, m: PartitionMatroid, S: np.ndarray):
         keys, self.lab = np.unique(m.labels, return_inverse=True)
-        self.cap = np.array([m.cap(l) for l in keys], dtype=np.int64)
+        self.cap = m.cap_array(keys)
         self.cnt = np.bincount(self.lab[S], minlength=len(self.cap))
 
     def room(self) -> np.ndarray:

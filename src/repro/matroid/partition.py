@@ -17,12 +17,22 @@ class PartitionMatroid:
     def __init__(self, labels: np.ndarray, caps: dict[int, int] | int):
         self.labels = np.asarray(labels, dtype=np.int64)
         if isinstance(caps, int):
-            self.caps = {int(l): caps for l in np.unique(self.labels)}
+            self.caps = dict.fromkeys(np.unique(self.labels).tolist(), caps)
         else:
             self.caps = {int(l): int(c) for l, c in caps.items()}
 
     def cap(self, label: int) -> int:
         return self.caps.get(int(label), 0)
+
+    def cap_array(self, labels: np.ndarray) -> np.ndarray:
+        """``cap(l)`` for every l in the int array ``labels``, in one lookup."""
+        known = np.fromiter(self.caps, np.int64, len(self.caps))
+        caps = np.fromiter(self.caps.values(), np.int64, len(self.caps))
+        order = np.argsort(known)
+        # A trailing cap-0 sentinel catches labels past the largest known one.
+        known, caps = np.append(known[order], 0), np.append(caps[order], 0)
+        pos = np.searchsorted(known[:-1], labels)
+        return np.where(known[pos] == labels, caps[pos], 0)
 
     def is_independent(self, members: np.ndarray) -> bool:
         labels, counts = np.unique(self.labels[members], return_counts=True)
@@ -32,7 +42,3 @@ class PartitionMatroid:
         """Whether adding element ``x`` keeps independence, given label counts."""
         l = int(self.labels[x])
         return counts.get(l, 0) < self.cap(l)
-
-    def rank(self) -> int:
-        labels, counts = np.unique(self.labels, return_counts=True)
-        return int(sum(min(c, self.cap(l)) for l, c in zip(labels, counts)))

@@ -2,10 +2,12 @@
 clustering and Algorithm 4 as they were before ``solve`` shared one
 store-wide distance matrix.
 
-Each guess builds its own distance matrix with ``Metric.pairwise``, the
-clustering builds another from the features, and the matroid intersection
-keeps dict label counts and asks ``PartitionMatroid.can_add`` per element.
-The tests require the production path to match these bit for bit.
+Each guess builds its own distance matrix from the features with
+``Metric.rows_to_rows``, the arithmetic of the store matrix that ``solve``
+slices, and clusters on it; the matroid intersection keeps dict label counts
+and asks ``PartitionMatroid.can_add`` per element. The tests require the
+production path to match these bit for bit. ``oracle_threshold_clusters``
+builds its matrix with ``Metric.pairwise``, the arithmetic of FairFlow's.
 """
 from collections import deque
 
@@ -18,10 +20,13 @@ from repro.matroid.partition import PartitionMatroid
 
 
 def oracle_threshold_clusters(feats, metric, threshold):
-    n = len(feats)
+    return _clusters(metric.pairwise(feats, feats), threshold)
+
+
+def _clusters(D, threshold):
+    n = len(D)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    D = metric.pairwise(feats, feats)
     uf = UnionFind(n)
     close_i, close_j = np.nonzero(D < threshold)
     for i, j in zip(close_i.tolist(), close_j.tolist()):
@@ -122,14 +127,14 @@ def _post_one(s, g):
     s_all = np.flatnonzero(sel)
     feats = st.feats[s_all]
     groups = st.groups[s_all]
-    D = s.metric.pairwise(feats, feats)
+    D = s.metric.rows_to_rows(feats, feats)
     pos = {int(x): i for i, x in enumerate(s_all)}
     blind_local = [pos[int(x)] for x in st.blind.indices(g, st.n_stored)]
     init = set()
     for grp, kg in s.ks.items():
         members = [x for x in blind_local if groups[x] == grp]
         init.update(_greedy_maxmin_subset(D, members, kg))
-    labels = oracle_threshold_clusters(feats, s.metric, mu / (m + 1))
+    labels = _clusters(D, mu / (m + 1))
     seen, init_ok = set(), set()
     for x in sorted(init):
         c = int(labels[x])
@@ -146,7 +151,7 @@ def _post_one(s, g):
 
 
 def oracle_solve(s):
-    """``SFDM2.solve`` with one pairwise matrix per guess: ``(ids, mu, diversity)``
+    """``SFDM2.solve`` with one distance matrix per guess: ``(ids, mu, diversity)``
     of the winning guess, or None when no guess yields a fair solution."""
     st, best = s.state, None
     for g in range(len(s.mus)):

@@ -332,3 +332,30 @@ def test_table2_configs_match_oracle(dataset, grouping, eps):
         assert_same_state(fast.state, ref.state)
         a, b = fast.solve(), ref.solve()
         assert np.array_equal(a.ids, b.ids) and a.mu == b.mu and a.diversity == b.diversity
+
+
+# -- the store's distance matrix ----------------------------------------------
+
+@pytest.mark.parametrize("caps", ["sfdm1", "sfdm2"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_distances_equal_rows_to_rows_across_rounds(metric, caps):
+    # Rounds of update + distances(): rows stored after the first call are
+    # written by _offer; the round at 30 adds no rows. The store crosses
+    # several capacity steps of the matrix.
+    g = np.random.default_rng(METRICS.index(metric))
+    X, G = g.uniform(0.1, 1, size=(3000, 6)), g.integers(0, 3, 3000)
+    met = get_metric(metric)
+    ks = {0: 7, 1: 8, 2: 5}
+    k = sum(ks.values())
+    group_caps = ks if caps == "sfdm1" else {grp: k for grp in ks}
+    st = StreamState(met, guess_grid(*exact_extent(X[:300], met), 0.1), 6, k, group_caps)
+    buffers = set()
+    for lo, hi in [(0, 30), (30, 30), (30, 400), (400, 1200), (1200, 3000)]:
+        n_before = st.n_stored
+        st.update(X[lo:hi], G[lo:hi])
+        assert hi > lo or st.n_stored == n_before
+        D = st.distances()
+        assert np.array_equal(D, met.rows_to_rows(st.feats, st.feats))
+        assert np.array_equal(st.distances(), D)
+        buffers.add(len(st._dist))
+    assert len(buffers) >= 3 and st.n_stored > 64

@@ -93,14 +93,22 @@ def test_augmentation_property(seed):
         )
 
 
-def test_rank_computation():
-    m = PartitionMatroid(np.array([0, 0, 0, 1, 1, 2]), {0: 2, 1: 5, 2: 1})
-    assert m.rank() == 2 + 2 + 1
+def test_caps_lookup():
+    m = PartitionMatroid(np.array([0, 0, 0, 1, 1, 2]), {2: 1, 0: 2, 1: 5})
+    assert m.caps == {0: 2, 1: 5, 2: 1}
+    labels = np.array([3, 2, 1, 0, -1, 1])  # 3 and -1 have no cap
+    want = [m.cap(l) for l in labels]
+    assert want == [0, 1, 5, 2, 0, 5]
+    got = m.cap_array(labels)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert PartitionMatroid(np.array([0, 1]), {}).cap_array(labels).tolist() == [0] * 6
 
 
 def test_uniform_cap_constructor():
     m = PartitionMatroid(np.array([0, 1, 1, 2]), 1)
-    assert m.rank() == 3
+    assert m.caps == {0: 1, 1: 1, 2: 1}
+    assert all(type(l) is int for l in m.caps)
+    assert m.cap_array(np.array([2, 1, 0, 7])).tolist() == [1, 1, 1, 0]
 
 
 def test_can_add_respects_caps():

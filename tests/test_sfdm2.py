@@ -196,3 +196,64 @@ def test_group_without_quota_rejected_at_update():
     with pytest.raises(ValueError, match="stream id 5 has group 2, which has no quota"):
         s.update(X[5:], grp[5:])
     assert s.state.n_seen == 5 and s.state.n_stored == n_stored
+
+
+# -- the store's distance matrix across copies ---------------------------------
+
+def _same_result(a, b):
+    return (
+        np.array_equal(a.ids, b.ids) and a.mu == b.mu
+        and repr(a.diversity) == repr(b.diversity) and a.n_stored == b.n_stored
+    )
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_copies_drop_the_distance_matrix_and_solve_the_same(metric):
+    import copy
+    import pickle
+
+    g = np.random.default_rng(20 + METRICS.index(metric))
+    X, grp = g.uniform(0.1, 1, size=(3000, 6)), g.integers(0, 3, 3000)
+    ks = {0: 7, 1: 8, 2: 5}
+    lo, hi = exact_extent(X[:300], get_metric(metric))
+    s = SFDM2(metric, ks=ks, eps=0.1, d_min=lo, d_max=hi, dim=6)
+    s.update(X[:1500], grp[:1500])
+    want = s.solve()
+    n = s.state.n_stored
+    blob = pickle.dumps(s)
+    assert len(blob) < n * n * 8
+    copies = [copy.deepcopy(s), pickle.loads(blob)]
+    for c in copies:
+        assert c.state._n_dist == 0 and c.state._dist.size == 0
+        assert _same_result(c.solve(), want)
+    # Further updates: the original writes rows into its complete matrix, a
+    # solved copy into its rebuilt one, an unsolved copy into none.
+    copies.append(copy.deepcopy(s))
+    for lo_ in (1500, 2200):
+        for solver in (s, *copies):
+            solver.update(X[lo_ : lo_ + 700], grp[lo_ : lo_ + 700])
+        want = s.solve()
+        assert s.state.n_stored > n
+        for c in copies:
+            assert _same_result(c.solve(), want)
+
+
+def test_solve_makes_no_pairwise_call_on_the_store(monkeypatch):
+    from repro.metrics import Metric
+
+    X, grp = instance(12, n=2000, m=3)
+    ks = {0: 2, 1: 3, 2: 2}
+    lo, hi = exact_extent(X[:300], MET)
+    s = SFDM2("euclidean", ks=ks, eps=0.1, d_min=lo, d_max=hi, dim=2)
+    s.update(X, grp)
+    assert s.state.n_stored > 4 * s.k
+    rows = []
+    pairwise = Metric.pairwise
+
+    def counted(self, A, B):
+        rows.append(max(len(A), len(B)))
+        return pairwise(self, A, B)
+
+    monkeypatch.setattr(Metric, "pairwise", counted)
+    s.solve()
+    assert rows and max(rows) <= s.k
