@@ -7,8 +7,7 @@ def make_algo(algo: str, metric: str, **kw):
     from .core.sfdm1 import SFDM1
     from .core.sfdm2 import SFDM2
 
-    if algo == "sfdm1":
-        return SFDM1(metric, **kw)
-    if algo == "sfdm2":
-        return SFDM2(metric, **kw)
-    raise ValueError(f"unknown algo {algo!r}")
+    algos = {"sfdm1": SFDM1, "sfdm2": SFDM2}
+    if algo not in algos:
+        raise ValueError(f"unknown algo {algo!r}")
+    return algos[algo](metric, **kw)

@@ -43,9 +43,3 @@ def group_gmm_prefixes(
         prefixes[g] = members[gmm(feats[members], min(k, len(members)), metric)]
     return prefixes
 
-
-def gmm_diversity(feats: np.ndarray, k: int, metric: Metric) -> float:
-    """div of the GMM solution (the unconstrained reference in Table II)."""
-    from ..diversity import div
-
-    return div(feats[gmm(feats, k, metric)], metric)

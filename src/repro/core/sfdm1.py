@@ -7,17 +7,15 @@ Post phase (lines 9-17): over ``U' = {μ : |S_μ|=k and |S_{μ,i}|=k_i ∀i}``,
 balance each group-blind candidate by greedily inserting far elements from
 the under-filled group's candidate and deleting the elements of the
 over-filled group closest to the under-filled side; return the balanced
-candidate with maximum diversity.
+candidate with maximum diversity. The stream phase, ``U'`` and the pick of
+the best guess are :class:`~repro.core.stream_dm.StreamingDM`'s.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..diversity import div
-from ..guesses import guess_grid
-from ..metrics import Metric, get_metric
-from .bank import StreamState
-from .stream_dm import DMResult, raise_if_group_short
+from ..metrics import Metric
+from .stream_dm import StreamingDM, quotas
 
 
 def swap_balance(
@@ -60,7 +58,7 @@ def swap_balance(
     return sol
 
 
-class SFDM1:
+class SFDM1(StreamingDM):
     """Feed the stream via :meth:`update`, then :meth:`solve` post-processes."""
 
     def __init__(
@@ -75,53 +73,20 @@ class SFDM1:
     ):
         if len(ks) != 2:
             raise ValueError(f"SFDM1 requires exactly 2 groups, got {sorted(ks)}")
-        self.metric = get_metric(metric) if isinstance(metric, str) else metric
-        self.ks = {int(g): int(k) for g, k in ks.items()}
-        self.k = sum(self.ks.values())
-        self.mus = guess_grid(d_min, d_max, eps)
-        self.state = StreamState(self.metric, self.mus, dim, self.k, group_caps=self.ks)
+        ks = quotas("SFDM1", ks)
+        self._setup(metric, sum(ks.values()), ks, ks, eps, d_min, d_max, dim)
 
-    def update(self, feats, groups, ids=None) -> None:
-        self.state.update(feats, groups, ids)
-
-    def solve(self) -> DMResult:
-        st, metric, k = self.state, self.metric, self.k
-        best = None
-        for g in range(len(self.mus)):
-            if st.blind.sizes[g] != k:
-                continue
-            if any(
-                st.group_banks[grp].sizes[g] != kg for grp, kg in self.ks.items()
-            ):
-                continue
-            sol = st.blind.indices(g, st.n_stored).tolist()
-            counts = {grp: int((st.groups[sol] == grp).sum()) for grp in self.ks}
-            under = [grp for grp, kg in self.ks.items() if counts[grp] < kg]
-            if under:
-                (gu,) = under
-                pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
-                sol = swap_balance(
-                    st.feats, st.groups, sol, pool, gu, self.ks[gu], k, metric
-                )
-                if sol is None:
-                    continue
-            d = div(st.feats[sol], metric)
-            if best is None or d > best[0]:
-                best = (d, sol, float(self.mus[g]))
-        if best is None:
-            raise_if_group_short("SFDM1", st, self.ks)
-            raise RuntimeError(
-                "SFDM1: no guess produced full candidates (U' empty); "
-                "extent estimate or quotas inconsistent with the data"
-            )
-        d, sol, mu = best
-        idx = np.array(sol)
-        return DMResult(
-            indices=idx,
-            ids=st.ids[idx],
-            feats=st.feats[idx],
-            groups=st.groups[idx],
-            diversity=d,
-            mu=mu,
-            n_stored=st.n_stored,
+    def _post(self, g: int) -> list[int] | None:
+        """Guess index g's blind candidate, balanced by :func:`swap_balance`
+        if a group is under-filled (lines 11-17)."""
+        st = self.state
+        sol = st.blind.indices(g, st.n_stored).tolist()
+        counts = {grp: int((st.groups[sol] == grp).sum()) for grp in self.ks}
+        under = [grp for grp, kg in self.ks.items() if counts[grp] < kg]
+        if not under:
+            return sol
+        (gu,) = under
+        pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
+        return swap_balance(
+            st.feats, st.groups, sol, pool, gu, self.ks[gu], self.k, self.metric
         )

@@ -17,19 +17,18 @@ Post phase (lines 9-18), per guess μ with ``|S_μ| = k`` and
 Every guess slices the store's distance matrix, which the stream phase fills
 as it stores rows (:meth:`StreamState.distances`): ``solve`` computes no
 distance between stored rows, only ``div`` on each guess's k-row solution.
+The stream phase, ``U'`` and the pick of the best guess are
+:class:`~repro.core.stream_dm.StreamingDM`'s.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..diversity import div
-from ..guesses import guess_grid
 from ..matroid.intersection import max_common_independent_set
 from ..matroid.partition import PartitionMatroid
-from ..metrics import Metric, get_metric
-from .bank import StreamState
+from ..metrics import Metric
 from .clustering import threshold_clusters
-from .stream_dm import DMResult, raise_if_group_short
+from .stream_dm import StreamingDM, quotas
 
 
 def _greedy_maxmin_subset(D: np.ndarray, members: list[int], size: int) -> list[int]:
@@ -48,7 +47,7 @@ def _greedy_maxmin_subset(D: np.ndarray, members: list[int], size: int) -> list[
     return chosen
 
 
-class SFDM2:
+class SFDM2(StreamingDM):
     """Feed the stream via :meth:`update`, then :meth:`solve` post-processes."""
 
     def __init__(
@@ -61,20 +60,17 @@ class SFDM2:
         d_max: float,
         dim: int,
     ):
-        self.metric = get_metric(metric) if isinstance(metric, str) else metric
-        self.ks = {int(g): int(k) for g, k in ks.items()}
-        self.k = sum(self.ks.values())
-        self.m = len(self.ks)
-        self.mus = guess_grid(d_min, d_max, eps)
-        group_caps = {g: self.k for g in self.ks}  # cap k, not k_i (Alg. 3 line 7)
-        self.state = StreamState(self.metric, self.mus, dim, self.k, group_caps=group_caps)
+        ks = quotas("SFDM2", ks)
+        k = sum(ks.values())
+        self.m = len(ks)
+        # cap k, not k_i (Alg. 3 line 7)
+        self._setup(metric, k, ks, dict.fromkeys(ks, k), eps, d_min, d_max, dim)
 
-    def update(self, feats, groups, ids=None) -> None:
-        self.state.update(feats, groups, ids)
-
-    def _post_one(self, g: int, D_store: np.ndarray) -> tuple[float, list[int]] | None:
-        """Post-process guess index g on the store-wide distance matrix;
-        returns (div, store indices) or None."""
+    def _post(self, g: int) -> list[int] | None:
+        """Post-process guess index g on a slice of the store's distance
+        matrix, which the state keeps across calls and updates (a copied or
+        unpickled solver rebuilds it on its first call); returns store
+        indices or None."""
         st, m, k = self.state, self.m, self.k
         mu = float(self.mus[g])
         # S_all: union of the blind and all group candidates (store indices are
@@ -84,7 +80,7 @@ class SFDM2:
             sel |= b.member[g, : st.n_stored]
         s_all = np.flatnonzero(sel)
         groups = st.groups[s_all]
-        D = D_store[np.ix_(s_all, s_all)]
+        D = st.distances()[np.ix_(s_all, s_all)]
         # local positions of the blind candidate within s_all (both ascending)
         blind_local = np.flatnonzero(st.blind.member[g, s_all]).tolist()
         # (1) initial partial solution: at most k_i per group from S_mu
@@ -110,46 +106,8 @@ class SFDM2:
         )
         if len(sol) != k:
             return None
-        sol_idx = [int(s_all[x]) for x in sorted(sol)]
-        # The reported diversity is div's (Gram-form pairwise on the solution
-        # rows), as for every other algorithm; a slice of D_store, which is in
-        # rows_to_rows arithmetic, can differ from it in the last bit.
-        return div(st.feats[sol_idx], self.metric), sol_idx
-
-    def solve(self) -> DMResult:
-        """Best post-processed guess in U'. Each guess slices the store's
-        distance matrix, kept by the state across calls and updates; a copied
-        or unpickled solver rebuilds it on its first call."""
-        st = self.state
-        D_store = st.distances()
-        best = None
-        for g in range(len(self.mus)):
-            if st.blind.sizes[g] != self.k:
-                continue
-            if any(
-                st.group_banks[grp].sizes[g] < kg for grp, kg in self.ks.items()
-            ):
-                continue
-            out = self._post_one(g, D_store)
-            if out is None:
-                continue
-            d, sol = out
-            if best is None or d > best[0]:
-                best = (d, sol, float(self.mus[g]))
-        if best is None:
-            raise_if_group_short("SFDM2", st, self.ks)
-            raise RuntimeError(
-                "SFDM2: no guess yielded a fair size-k solution; "
-                "extent estimate or quotas inconsistent with the data"
-            )
-        d, sol, mu = best
-        idx = np.array(sol)
-        return DMResult(
-            indices=idx,
-            ids=st.ids[idx],
-            feats=st.feats[idx],
-            groups=st.groups[idx],
-            diversity=d,
-            mu=mu,
-            n_stored=st.n_stored,
-        )
+        # The base class reports div's diversity (Gram-form pairwise on the
+        # solution rows), as for every other algorithm; a slice of the store
+        # matrix, which is in rows_to_rows arithmetic, can differ from it in
+        # the last bit.
+        return [int(s_all[x]) for x in sorted(sol)]

@@ -1,8 +1,12 @@
-"""Algorithm 1 — streaming (unconstrained) max-min diversity maximization.
+"""Algorithm 1 — streaming (unconstrained) max-min diversity maximization,
+and the guess-grid skeleton SFDM1 and SFDM2 extend.
 
 Borassi et al.'s guess-grid algorithm, shown to be ``(1-ε)/2``-approximate for
-max-min dispersion by Theorem 1 of the reproduced paper. This is the building
-block both SFDM algorithms instantiate per candidate.
+max-min dispersion by Theorem 1 of the reproduced paper. SFDM1 and SFDM2 are
+instances of it: they share its grid, its stream phase and its final pick
+(the guess of U′ whose solution has the largest ``div``), and differ only in
+their group candidates' caps and in how each guess of U′ is post-processed
+(:meth:`StreamingDM._post`).
 """
 from __future__ import annotations
 
@@ -30,17 +34,14 @@ class DMResult:
     extra: dict = field(default_factory=dict)
 
 
-def raise_if_group_short(algo: str, st: StreamState, ks: dict[int, int]) -> None:
-    """For SFDM1/SFDM2 when no guess qualifies (U' empty): raise a
-    ``RuntimeError`` naming the first group that stored fewer rows than its
-    quota, since such a group cannot fill its candidate at any guess."""
+def quotas(algo: str, ks: dict) -> dict[int, int]:
+    """``ks`` with int groups and quotas; raises ``ValueError`` naming the
+    first group whose quota is below 1."""
+    ks = {int(g): int(kg) for g, kg in ks.items()}
     for grp, kg in sorted(ks.items()):
-        n = int(np.count_nonzero(st.groups == grp))
-        if n < kg:
-            raise RuntimeError(
-                f"{algo}: group {grp} has {n} stored rows, fewer than its "
-                f"quota {kg} (U' empty)"
-            )
+        if kg < 1:
+            raise ValueError(f"{algo}: group {grp} has quota {kg}, must be at least 1")
+    return ks
 
 
 class StreamingDM:
@@ -56,31 +57,58 @@ class StreamingDM:
         d_max: float,
         dim: int,
     ):
+        if k < 1:
+            raise ValueError(f"StreamingDM: k is {k}, must be at least 1")
+        self._setup(metric, k, {}, {}, eps, d_min, d_max, dim)
+
+    def _setup(self, metric, k, ks, group_caps, eps, d_min, d_max, dim) -> None:
+        """The guess grid and the state: a blind candidate of cap k and, per
+        group of the quotas ``ks`` (none for Algorithm 1), one of its cap in
+        ``group_caps``."""
         self.metric = get_metric(metric) if isinstance(metric, str) else metric
+        self.k, self.ks = k, ks
         self.mus = guess_grid(d_min, d_max, eps)
-        self.state = StreamState(self.metric, self.mus, dim, k)
-        self.k = k
+        self.state = StreamState(self.metric, self.mus, dim, k, group_caps=group_caps)
 
     def update(self, feats, groups=None, ids=None) -> None:
         self.state.update(feats, groups, ids)
 
+    def _post(self, g: int):
+        """Guess index g's solution as store indices, or None if it has none
+        (Algorithm 1: the blind candidate itself)."""
+        return self.state.blind.indices(g, self.state.n_stored)
+
     def solve(self) -> DMResult:
-        """Return the full candidate with the largest diversity (Alg. 1, line 7)."""
+        """Post-process every guess of ``U'`` (a full blind candidate and
+        every group candidate holding at least its quota) and return the
+        first solution with the largest diversity (Alg. 1, line 7)."""
         st = self.state
+        in_u = st.blind.sizes == self.k
+        for grp, kg in self.ks.items():
+            in_u &= st.group_banks[grp].sizes >= kg
         best = None
-        for g in range(len(self.mus)):
-            if st.blind.sizes[g] != self.k:
+        for g in np.flatnonzero(in_u).tolist():
+            sol = self._post(g)
+            if sol is None:
                 continue
-            idx = st.blind.indices(g, st.n_stored)
-            d = div(st.feats[idx], self.metric)
+            d = div(st.feats[sol], self.metric)
             if best is None or d > best[0]:
-                best = (d, idx, float(self.mus[g]))
+                best = (d, sol, float(self.mus[g]))
         if best is None:
+            name = type(self).__name__
+            for grp, kg in sorted(self.ks.items()):
+                n = int(np.count_nonzero(st.groups == grp))
+                if n < kg:
+                    raise RuntimeError(
+                        f"{name}: group {grp} has {n} stored rows, fewer than "
+                        f"its quota {kg} (U' empty)"
+                    )
             raise RuntimeError(
-                f"no guess filled k={self.k} candidates; "
-                "d_min estimate too high or k > n"
+                f"{name}: no guess yielded a solution of size k={self.k} "
+                "(U' empty); extent estimate, k or quotas inconsistent with the data"
             )
-        d, idx, mu = best
+        d, sol, mu = best
+        idx = np.asarray(sol)
         return DMResult(
             indices=idx,
             ids=st.ids[idx],

@@ -1,6 +1,7 @@
 """Reference post-processing: SFDM2's per-guess post phase, threshold
 clustering and Algorithm 4 as they were before ``solve`` shared one
-store-wide distance matrix.
+store-wide distance matrix, and SFDM1's solve loop as it was before SFDM1
+and SFDM2 shared :meth:`StreamingDM.solve`.
 
 Each guess builds its own distance matrix from the features with
 ``Metric.rows_to_rows``, the arithmetic of the store matrix that ``solve``
@@ -14,6 +15,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.clustering import UnionFind
+from repro.core.sfdm1 import swap_balance
 from repro.core.sfdm2 import _greedy_maxmin_subset
 from repro.diversity import div
 from repro.matroid.partition import PartitionMatroid
@@ -163,6 +165,34 @@ def oracle_solve(s):
         if out is None:
             continue
         d, sol = out
+        if best is None or d > best[0]:
+            best = (d, sol, float(s.mus[g]))
+    if best is None:
+        return None
+    d, sol, mu = best
+    return st.ids[np.array(sol)], mu, d
+
+
+def oracle_sfdm1_solve(s):
+    """``SFDM1.solve`` with its own U' filter (group candidates of size
+    exactly k_i) and best-by-``div`` loop: ``(ids, mu, diversity)`` of the
+    winning guess, or None when U' is empty."""
+    st, k, best = s.state, s.k, None
+    for g in range(len(s.mus)):
+        if st.blind.sizes[g] != k:
+            continue
+        if any(st.group_banks[grp].sizes[g] != kg for grp, kg in s.ks.items()):
+            continue
+        sol = st.blind.indices(g, st.n_stored).tolist()
+        counts = {grp: int((st.groups[sol] == grp).sum()) for grp in s.ks}
+        under = [grp for grp, kg in s.ks.items() if counts[grp] < kg]
+        if under:
+            (gu,) = under
+            pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
+            sol = swap_balance(st.feats, st.groups, sol, pool, gu, s.ks[gu], k, s.metric)
+            if sol is None:
+                continue
+        d = div(st.feats[sol], s.metric)
         if best is None or d > best[0]:
             best = (d, sol, float(s.mus[g]))
     if best is None:

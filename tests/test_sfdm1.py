@@ -5,7 +5,7 @@ import pytest
 from repro.core.sfdm1 import SFDM1
 from repro.diversity import brute_fair_opt, div
 from repro.extent import exact_extent
-from repro.metrics import get_metric
+from repro.metrics import METRICS, get_metric
 
 MET = get_metric("euclidean")
 
@@ -67,6 +67,12 @@ def test_skewed_groups():
 def test_requires_exactly_two_groups():
     with pytest.raises(ValueError, match="2 groups"):
         SFDM1("euclidean", ks={0: 1, 1: 1, 2: 1}, eps=0.1, d_min=1, d_max=2, dim=2)
+
+
+@pytest.mark.parametrize("ks, grp, kg", [({0: 3, 1: 0}, 1, 0), ({0: -1, 1: 4}, 0, -1)])
+def test_quota_below_one_rejected_at_construction(ks, grp, kg):
+    with pytest.raises(ValueError, match=f"SFDM1: group {grp} has quota {kg}, must be at least 1"):
+        SFDM1("euclidean", ks=ks, eps=0.1, d_min=1, d_max=2, dim=2)
 
 
 def test_chunked_updates_match_oneshot():
@@ -142,3 +148,35 @@ def test_group_without_quota_rejected_at_update():
     with pytest.raises(ValueError, match="stream id 117 has group 2, which has no quota"):
         s.update(X, grp, ids=np.arange(100, 130))
     assert s.state.n_seen == 0 and s.state.n_stored == 0
+
+
+# -- the shared solve vs the loop SFDM1 had of its own ------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("metric", METRICS)
+def test_solve_matches_oracle(metric, seed):
+    from tests.post_oracle import oracle_sfdm1_solve
+
+    g = np.random.default_rng(100 * seed + METRICS.index(metric))
+    n, dim = 2000, {"euclidean": 3, "manhattan": 12, "angular": 6}[metric]
+    centers = g.uniform(-4, 4, size=(8, dim))
+    X = centers[g.integers(0, 8, n)] + g.normal(size=(n, dim))
+    if metric == "angular":
+        X = np.abs(X)
+    grp = (g.random(n) < [0.5, 0.3, 0.1][seed]).astype(int)
+    ks = [{0: 5, 1: 5}, {0: 3, 1: 7}, {0: 8, 1: 2}][seed]
+    lo, hi = exact_extent(X[:300], get_metric(metric))
+    s = SFDM1(metric, ks=ks, eps=0.1, d_min=lo, d_max=hi, dim=dim)
+    solved = 0
+    for piece in np.array_split(np.arange(n), 4):
+        s.update(X[piece], grp[piece])
+        want = oracle_sfdm1_solve(s)
+        if want is None:
+            with pytest.raises(RuntimeError):
+                s.solve()
+            continue
+        r = s.solve()
+        assert np.array_equal(r.ids, want[0]) and r.mu == want[1]
+        assert repr(r.diversity) == repr(want[2])
+        solved += 1
+    assert solved >= 2

@@ -154,6 +154,12 @@ def test_short_group_named_when_no_guess_qualifies():
         run(X, grp, {0: 3, 1: 3})
 
 
+@pytest.mark.parametrize("ks, grp, kg", [({0: -1, 1: 4}, 0, -1), ({0: 3, 1: 0}, 1, 0)])
+def test_quota_below_one_rejected_at_construction(ks, grp, kg):
+    with pytest.raises(ValueError, match=f"SFDM2: group {grp} has quota {kg}, must be at least 1"):
+        SFDM2("euclidean", ks=ks, eps=0.1, d_min=1, d_max=2, dim=2)
+
+
 # -- one store-wide matrix per solve vs the per-guess oracle -----------------
 
 @pytest.mark.parametrize("m", [2, 3, 14])

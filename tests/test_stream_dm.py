@@ -81,6 +81,12 @@ def test_k_larger_than_n_fails_cleanly():
         run(X, 10)
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_k_below_one_rejected_at_construction(k):
+    with pytest.raises(ValueError, match=f"StreamingDM: k is {k}, must be at least 1"):
+        StreamingDM("euclidean", k=k, eps=0.1, d_min=1, d_max=2, dim=2)
+
+
 def test_ids_surface_original_stream_positions():
     X = np.random.default_rng(9).normal(size=(40, 2))
     d_min, d_max = exact_extent(X, MET)
