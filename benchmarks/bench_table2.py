@@ -51,9 +51,9 @@ def test_full_run_m14(benchmark, algo):
     assert m.diversity > 0
 
 
-@pytest.mark.parametrize("algo", ["sfdm1", "sfdm2"])
-def test_stream_phase(benchmark, algo):
-    ds, ks = _config(2)
+def _stream(algo, m):
+    """A function that feeds config m's whole stream to a fresh solver."""
+    ds, ks = _config(m)
     extent = estimate_extent(ds.feats, ds.metric)
 
     def stream():
@@ -64,24 +64,20 @@ def test_stream_phase(benchmark, algo):
         s.update(ds.feats, ds.groups)
         return s
 
-    s = benchmark.pedantic(stream, rounds=1, iterations=1)
+    return stream
+
+
+# m = 14 (Census, 25-d Manhattan, 14 groups) also tracks the rejection
+# kernel on its small per-group blocks.
+@pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14)])
+def test_stream_phase(benchmark, algo, m):
+    s = benchmark.pedantic(_stream(algo, m), rounds=1, iterations=1)
     assert s.state.n_stored > 0
-
-
-def _streamed(algo, m):
-    ds, ks = _config(m)
-    extent = estimate_extent(ds.feats, ds.metric)
-    s = make_algo(
-        algo, ds.metric_name, ks=ks, eps=0.1,
-        d_min=extent[0], d_max=extent[1], dim=ds.dim,
-    )
-    s.update(ds.feats, ds.groups)
-    return s
 
 
 @pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14)])
 def test_post_phase(benchmark, algo, m):
-    s = _streamed(algo, m)
+    s = _stream(algo, m)()
     res = benchmark.pedantic(s.solve, rounds=3, iterations=1)
     assert np.unique(res.groups, return_counts=True)[1].sum() == K
 
@@ -90,7 +86,7 @@ def test_post_phase(benchmark, algo, m):
 def test_post_phase_rebuild(benchmark, algo, m):
     # What a copied or restored solver pays: each round solves a fresh deep
     # copy (made in the untimed setup), so SFDM2 rebuilds its distance matrix.
-    s = _streamed(algo, m)
+    s = _stream(algo, m)()
     res = benchmark.pedantic(
         lambda c: c.solve(), setup=lambda: ((copy.deepcopy(s),), {}), rounds=3, iterations=1
     )
