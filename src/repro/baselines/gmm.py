@@ -2,7 +2,10 @@
 
 Also the paper's OPT_f upper-bound oracle: since GMM is 1/2-approximate and
 ``OPT >= OPT_f``, ``2 * div(GMM(X, k))`` upper-bounds ``OPT_f`` (Table II).
-Fully vectorized: maintains the running min-distance-to-solution array.
+Fully vectorized: maintains the running min-distance-to-solution array,
+updated by one plane-kernel scan per chosen point over a feature-major copy
+of the points made once per call (``Metric.feature_major``); the distances
+are ``point_to_rows``' bit for bit.
 """
 from __future__ import annotations
 
@@ -20,11 +23,12 @@ def gmm(
         raise ValueError(f"k={k} > n={n}")
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = first
-    mind = metric.point_to_rows(feats[first], feats)
+    fm = metric.feature_major(feats)  # one copy for all k scans
+    mind = metric.rows_to_feature_major(feats[first][None], fm)[0]
     for i in range(1, k):
         nxt = int(np.argmax(mind))
         chosen[i] = nxt
-        mind = np.minimum(mind, metric.point_to_rows(feats[nxt], feats))
+        np.minimum(mind, metric.rows_to_feature_major(feats[nxt][None], fm)[0], out=mind)
     return chosen
 
 

@@ -29,7 +29,7 @@ from ..metrics import Metric
 __all__ = ["CandidateBank", "StreamState", "check_finite", "keep_mask"]
 
 _CHUNK = 1024  # rows per rejection step of StreamState.update
-_BLOCK_BYTES = 1 << 20  # target size of one keep_mask / distances temporary
+_BLOCK_BYTES = 1 << 20  # target size of one keep_mask / distances output block
 _DIST_GROWTH = 1.25  # capacity step of the store's distance matrix
 
 
@@ -222,13 +222,13 @@ class StreamState:
         Rows stored while the matrix was complete were written by ``_offer``
         from the distance vector the acceptance test used. The rest (all of
         them in a copy, which drops the matrix) are computed here, once,
-        row-blocked so temporaries stay near ``_BLOCK_BYTES``.
+        row-blocked so each block of rows stays near ``_BLOCK_BYTES``.
         """
         n, lo = self.n_stored, self._n_dist
         if lo < n:
             self._reserve_distances(n)
             D, X = self._dist, self.feats
-            step = max(1, _BLOCK_BYTES // (8 * n * self.dim))
+            step = max(1, _BLOCK_BYTES // (8 * n))
             for a in range(lo, n, step):
                 b = min(a + step, n)
                 R = self.metric.rows_to_rows(X[a:b], X[:b])
@@ -297,7 +297,9 @@ def keep_mask(
     candidate ``S_μ`` of a bank it sees has ``d(x, S_μ) >= μ``, the test
     ``CandidateBank.accept_mask`` makes. Distances come from
     :meth:`Metric.rows_to_rows`, only to stored rows in some non-full
-    candidate, row-blocked so temporaries stay near ``_BLOCK_BYTES``.
+    candidate, row-blocked so the distance block and its gather by member
+    position stay near ``_BLOCK_BYTES``; ``rows_to_rows`` bounds its own
+    temporaries, as its docstring says.
     """
     out = np.zeros(len(feats), dtype=bool)
     for grp, member, sizes, cap in banks:
@@ -317,7 +319,7 @@ def keep_mask(
         idx = np.argsort(~M, axis=1, kind="stable")[:, :width]
         idx[np.arange(width)[None, :] >= sizes[nonfull][:, None]] = len(cols)
         A, mu = store[cols], mus[nonfull]
-        per_row = 8 * max(len(cols) * store.shape[1], idx.size)
+        per_row = 8 * max(len(cols) + 1, idx.size)  # a row of D, of D[:, idx]
         step = max(1, _BLOCK_BYTES // per_row)
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]

@@ -9,14 +9,32 @@ vectorized forms:
 * ``rows_to_rows(X, A)`` -> the same arithmetic for many points at once,
 
 over float64 numpy arrays with points as rows.
+
+``rows_to_rows`` sums each pair's per-feature terms in the order numpy's
+``.sum(-1)`` sums a contiguous row (:func:`_pairwise_sum`). Small outputs
+and single rows use that reduction itself, over a ``(|X|, |A|, dim)``
+temporary. From ``_PLANE_CELLS`` output cells of more than one row on, the
+plane kernel takes over: it holds ``A`` feature-major
+(:meth:`Metric.feature_major`), computes one ``(|X|, |A|)`` plane per
+feature into preallocated buffers and adds the planes in that same order,
+so every entry is the same double either way. It is faster there because
+each numpy call runs over a whole plane instead of reducing a row only
+``dim`` long per output cell.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 __all__ = ["Metric", "get_metric", "METRICS"]
 
-_BLOCK_BYTES = 1 << 20  # target size of one Manhattan ``pairwise`` temporary
+_BLOCK_BYTES = 1 << 20  # target size of the plane kernel's scratch buffers
+_PLANE_CELLS = 4096  # rows_to_rows outputs of 2+ rows from this many cells use the planes
+_UNROLL = 8  # numpy's pairwise sum: 8 accumulators ...
+_PW_BLOCK = 128  # ... over at most 128 terms, else split in two
+_CELLS = _BLOCK_BYTES // (8 * 2 * _UNROLL)  # output cells per block: two 8-plane buffers
+_scratch = threading.local()  # per thread, the planes' buffers, reused across calls
 
 
 class Metric:
@@ -40,13 +58,7 @@ class Metric:
             )
             return np.sqrt(np.clip(sq, 0.0, None))
         if self.name == "manhattan":
-            # Row-blocked so the (rows, |B|, dim) temporary stays near
-            # _BLOCK_BYTES; each entry is the unblocked expression's.
-            out = np.empty((len(A), len(B)))
-            step = max(1, _BLOCK_BYTES // (8 * max(1, B.size)))
-            for lo in range(0, len(A), step):
-                out[lo : lo + step] = np.abs(A[lo : lo + step, None, :] - B[None, :, :]).sum(-1)
-            return out
+            return self.rows_to_rows(A, B)
         # angular: arccos of cosine similarity, in [0, pi]
         na = np.linalg.norm(A, axis=1)
         nb = np.linalg.norm(B, axis=1)
@@ -61,17 +73,22 @@ class Metric:
     def rows_to_rows(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
         """(|X| x |A|) distances; entry ``[i, j]`` depends on ``X[i]`` and ``A[j]`` only.
 
-        Unlike :meth:`pairwise` (Gram form, BLAS), every sum here is a
-        reduction along the feature axis of an elementwise temporary, so
+        Unlike :meth:`pairwise` (Gram form, BLAS), every sum here adds the
+        pair's per-feature terms in numpy's ``.sum(-1)`` order, so
         ``rows_to_rows(X, A)[i, j]`` is bit-identical to
         ``point_to_rows(X[i], A[cols])`` at ``A[j]``'s position, for any
-        ``cols`` — the stream phase relies on this (see DESIGN.md §3).
-        Temporaries are ``|X| x |A| x dim``, so callers block large ``X``.
+        ``cols``, and ``rows_to_rows(A, X)`` is its transpose bit for bit —
+        the stream phase relies on both (see DESIGN.md §3). Outputs of more
+        than one row and at least ``_PLANE_CELLS`` cells go through the plane
+        kernel, whose buffers stay near ``_BLOCK_BYTES``. The others build a
+        ``|X| x |A| x dim`` temporary: under ``_PLANE_CELLS * dim`` doubles
+        for more than one row, ``|A| * dim`` for one.
         """
-        X = np.asarray(X, dtype=np.float64)
-        A = np.asarray(A, dtype=np.float64)
-        if A.size == 0:
-            return np.zeros((len(X), 0))
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        _check_features(X, A.shape[1])
+        if len(X) > 1 and len(X) * len(A) >= _PLANE_CELLS:
+            return self.rows_to_feature_major(X, self.feature_major(A))
         if self.name in ("euclidean", "manhattan"):
             diff = A[None, :, :] - X[:, None, :]
             if self.name == "manhattan":
@@ -84,8 +101,138 @@ class Metric:
         cos = (A[None, :, :] * X[:, None, :]).sum(-1) / denom
         return np.arccos(np.clip(cos, -1.0, 1.0))
 
+    def feature_major(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``A`` laid out for :meth:`rows_to_feature_major`: its ``(dim, |A|)``
+        transpose, contiguous, and for angular its row norms (else None).
+
+        Build it once to measure many points against the same rows.
+        """
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        na = np.sqrt((A * A).sum(-1)) if self.name == "angular" else None
+        return np.ascontiguousarray(A.T), na
+
+    def rows_to_feature_major(
+        self, X: np.ndarray, fm: tuple[np.ndarray, np.ndarray | None]
+    ) -> np.ndarray:
+        """``rows_to_rows(X, A)`` bit for bit, through the plane kernel, with
+        ``fm = feature_major(A)``.
+
+        Per block of output cells, the planes of ``dim`` features are summed
+        by :func:`_pairwise_sum` in ``(8, rows, cols)`` scratch buffers of
+        about ``_BLOCK_BYTES`` in all; a block spans whole rows of the output
+        or, when ``|A|`` alone fills a block, part of one row.
+        """
+        AT, na = fm
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        XT = X.T
+        dim, n_a = AT.shape
+        _check_features(X, dim)
+        out = np.empty((len(X), n_a))
+        w = max(1, min(n_a, _CELLS))
+        h = max(1, _CELLS // w)
+        acc_buf, tmp_buf = _buffers()
+        op = {"euclidean": np.square, "manhattan": np.abs}.get(self.name)
+        for r0 in range(0, len(X), h):
+            for c0 in range(0, n_a, w):
+                o = out[r0 : r0 + h, c0 : c0 + w]
+                shape = (_UNROLL, *o.shape)
+                size = o.size * _UNROLL
+                acc = acc_buf[:size].reshape(shape)
+                tmp = tmp_buf[:size].reshape(shape)
+                a_blk, x_blk = AT[:, None, c0 : c0 + w], XT[:, r0 : r0 + h, None]
+
+                def planes(lo: int, hi: int, dst: np.ndarray) -> None:
+                    # the per-feature terms a - x squared or made absolute,
+                    # or a * x, for features lo..hi-1
+                    d = dst[: hi - lo]
+                    if op is None:
+                        np.multiply(a_blk[lo:hi], x_blk[lo:hi], out=d)
+                    else:
+                        np.subtract(a_blk[lo:hi], x_blk[lo:hi], out=d)
+                        op(d, out=d)
+
+                _pairwise_sum(planes, 0, dim, o, acc, tmp)
+        if self.name == "euclidean":
+            return np.sqrt(out, out=out)
+        if self.name == "manhattan":
+            return out
+        prod = na[None, :] * np.sqrt((X * X).sum(-1))[:, None]
+        prod[prod == 0] = 1.0
+        np.divide(out, prod, out=out)
+        return np.arccos(np.clip(out, -1.0, 1.0, out=out), out=out)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Metric({self.name!r})"
+
+
+def _check_features(X: np.ndarray, dim: int) -> None:
+    """Raise unless the points ``X`` have the rows' ``dim`` features: the
+    planes would use the common features and the row-major expression would
+    broadcast a single feature, both silently."""
+    if X.shape[1] != dim:
+        raise ValueError(f"points have {X.shape[1]} features, the rows {dim}")
+
+
+def _buffers() -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two scratch buffers of ``_UNROLL * _CELLS`` doubles.
+
+    Kept across calls: fresh buffers of this size are returned to the
+    system when freed, and faulting their pages in again costs more than
+    the planes computed in them on a small output.
+    """
+    buf = getattr(_scratch, "buf", None)
+    if buf is None:
+        buf = _scratch.buf = np.empty((2, _UNROLL * _CELLS))
+    return buf[0], buf[1]
+
+
+def _pairwise_sum(planes, lo: int, n: int, out: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Write into ``out`` the sum of planes ``lo .. lo+n-1``, cell by cell in
+    the order numpy's ``pairwise_sum`` adds ``n`` contiguous doubles, so each
+    cell is the double ``.sum(-1)`` gives over its terms.
+
+    ``planes(a, b, dst)`` writes planes ``a .. b-1`` into ``dst[:b - a]``;
+    ``acc`` and ``tmp`` are ``(8, *out.shape)`` scratch. numpy's order:
+
+    * fewer than 8 terms: a left fold;
+    * 8 to 128 terms: 8 accumulators, each taking every 8th term of the
+      longest multiple-of-8 prefix, combined as
+      ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover terms in order;
+    * more than 128: the sums of the first ``n2`` and the remaining terms,
+      with ``n2`` = n/2 rounded down to a multiple of 8.
+
+    numpy starts a fold from 0.0 and adds the total to 0.0, which turns a
+    -0.0 sum into +0.0; only a sum of angular products can be -0.0, and the
+    arccos after it gives the same distance for either zero.
+    """
+    if n < _UNROLL:
+        if n == 0:
+            out.fill(0.0)
+            return
+        planes(lo, lo + n, tmp)
+        np.copyto(out, tmp[0])
+        for j in range(1, n):
+            out += tmp[j]
+    elif n <= _PW_BLOCK:
+        planes(lo, lo + _UNROLL, acc)
+        i = _UNROLL
+        while i < n - n % _UNROLL:
+            planes(lo + i, lo + i + _UNROLL, tmp)
+            acc += tmp
+            i += _UNROLL
+        acc[0::2] += acc[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        acc[0::4] += acc[2::4]  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+        np.add(acc[0], acc[4], out=out)
+        if i < n:
+            planes(lo + i, lo + n, tmp)
+            for j in range(n - i):
+                out += tmp[j]
+    else:
+        n2 = n // 2 - (n // 2) % _UNROLL
+        _pairwise_sum(planes, lo, n2, out, acc, tmp)
+        rest = np.empty_like(out)
+        _pairwise_sum(planes, lo + n2, n - n2, rest, acc, tmp)
+        out += rest
 
 
 METRICS = ("euclidean", "manhattan", "angular")

@@ -24,7 +24,7 @@ from ..extent import HI_FACTOR, LO_FACTOR, pair_extent
 from ..metrics import Metric, get_metric
 from .streaming import _sorted_features
 
-_BLOCK_BYTES = 1 << 20  # target size of one rows_to_rows temporary
+_BLOCK_BYTES = 1 << 20  # target size of one block of pair distances
 
 
 def spark_extent(
@@ -60,11 +60,11 @@ def _pair_blocks(X: np.ndarray, metric: Metric):
     """The distances of every unordered pair of rows of ``X``, a block of rows at a time.
 
     Row ``lo + r`` of a block meets the rows after it, columns ``c >= r`` of
-    ``rows_to_rows(X[lo:hi], X[lo + 1:])``; each temporary stays near
+    ``rows_to_rows(X[lo:hi], X[lo + 1:])``; each block stays near
     ``_BLOCK_BYTES``.
     """
-    n, dim = X.shape
-    step = max(1, _BLOCK_BYTES // (8 * max(1, n * dim)))
+    n = len(X)
+    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
     for lo in range(0, n - 1, step):
         D = metric.rows_to_rows(X[lo : lo + step], X[lo + 1 :])
         r, c = np.indices(D.shape)

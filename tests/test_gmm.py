@@ -74,3 +74,24 @@ def test_other_metrics(metric):
     m = get_metric(metric)
     idx = gmm(X, 5, m)
     assert div(X[idx], m) > 0
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "angular"])
+def test_scans_match_point_to_rows(metric):
+    # gmm scans a feature-major copy of the points through the plane kernel;
+    # the reference is the running minimum over point_to_rows on pieces of
+    # 1,000 rows (below the planes' threshold), with integer features so
+    # that many distances tie and argmax must meet the same bits
+    g = np.random.default_rng(6)
+    X = g.integers(-3, 4, size=(5000, 9)).astype(float)
+    m = get_metric(metric)
+
+    def scan(x):
+        return np.concatenate([m.point_to_rows(x, X[i : i + 1000]) for i in range(0, len(X), 1000)])
+
+    chosen = [0]
+    mind = scan(X[0])
+    for _ in range(11):
+        chosen.append(int(np.argmax(mind)))
+        mind = np.minimum(mind, scan(X[chosen[-1]]))
+    assert gmm(X, 12, m).tolist() == chosen

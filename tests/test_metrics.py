@@ -83,16 +83,18 @@ def test_point_to_rows_matches_pairwise(name):
 @pytest.mark.parametrize("name", METRICS)
 def test_rows_to_rows_entries_depend_on_their_pair_only(name):
     # the stream phase's rejection kernel needs point_to_rows' exact bits
-    # for any subset of stored rows (DESIGN.md §3)
+    # for any subset of stored rows (DESIGN.md §3); with 5,000 rows of A,
+    # D and point_to_rows(x, A) come from the planes, the subsets do not
     m = get_metric(name)
     g = np.random.default_rng(5)
-    X, A = g.normal(size=(7, 30)), g.normal(size=(53, 30))
-    D = m.rows_to_rows(X, A)
-    cols = np.array([3, 17, 18, 52])
-    assert np.array_equal(m.rows_to_rows(X[2:5], A[cols]), D[2:5][:, cols])
-    for i, x in enumerate(X):
-        assert np.array_equal(m.point_to_rows(x, A), D[i])
-        assert np.array_equal(m.point_to_rows(x, A[cols]), D[i, cols])
+    for n_a in (53, 5_000):
+        X, A = g.normal(size=(7, 30)), g.normal(size=(n_a, 30))
+        D = m.rows_to_rows(X, A)
+        cols = np.array([3, 17, 18, 52])
+        assert np.array_equal(m.rows_to_rows(X[2:5], A[cols]), D[2:5][:, cols])
+        for i, x in enumerate(X):
+            assert np.array_equal(m.point_to_rows(x, A), D[i])
+            assert np.array_equal(m.point_to_rows(x, A[cols]), D[i, cols])
 
 
 @pytest.mark.parametrize("dim", range(2, 8))
@@ -100,16 +102,18 @@ def test_rows_to_rows_entries_depend_on_their_pair_only(name):
 def test_rows_to_rows_is_a_left_fold_below_8_features(name, dim):
     # numpy sums fewer than 8 terms in order, so each entry is the fold
     # aggregate(zip_with(x, a, ...), 0D, (acc, v) -> acc + v); the Spark
-    # extent pre-pass relies on it (DESIGN.md §3)
+    # extent pre-pass relies on it (DESIGN.md §3). 30 x 40 is below the
+    # plane kernel's threshold, 64 x 70 above it.
     g = np.random.default_rng(dim)
-    X, A = g.normal(size=(30, dim)) * 3, g.normal(size=(40, dim)) * 3
-    D = get_metric(name).rows_to_rows(X, A)
-    for i, x in enumerate(X.tolist()):
-        for j, a in enumerate(A.tolist()):
-            acc = 0.0
-            for xf, af in zip(x, a):
-                acc += (xf - af) * (xf - af) if name == "euclidean" else abs(xf - af)
-            assert D[i, j] == (math.sqrt(acc) if name == "euclidean" else acc)
+    for n_x, n_a in ((30, 40), (64, 70)):
+        X, A = g.normal(size=(n_x, dim)) * 3, g.normal(size=(n_a, dim)) * 3
+        D = get_metric(name).rows_to_rows(X, A)
+        for i, x in enumerate(X.tolist()):
+            for j, a in enumerate(A.tolist()):
+                acc = 0.0
+                for xf, af in zip(x, a):
+                    acc += (xf - af) * (xf - af) if name == "euclidean" else abs(xf - af)
+                assert D[i, j] == (math.sqrt(acc) if name == "euclidean" else acc)
 
 
 @pytest.mark.parametrize("name", METRICS)
@@ -168,8 +172,9 @@ def test_euclidean_clip_no_nan_on_near_duplicates():
 
 @pytest.mark.parametrize("rows_per_block", [1, 7, 52])
 def test_blocked_manhattan_pairwise_is_the_unblocked_expression(rows_per_block):
-    # B sized so that one block holds ``rows_per_block`` rows of A; A's row
-    # counts end on, just before and just after block boundaries.
+    # B sized so that a (rows_per_block, |B|, dim) temporary is _BLOCK_BYTES,
+    # the row-blocking pairwise once had; the outputs fall on both sides of
+    # the plane kernel's threshold.
     from repro.metrics import _BLOCK_BYTES
 
     g = np.random.default_rng(rows_per_block)
@@ -182,3 +187,85 @@ def test_blocked_manhattan_pairwise_is_the_unblocked_expression(rows_per_block):
         got = met.pairwise(A, B)
         assert got.shape == want.shape and np.array_equal(got, want)
     assert met.pairwise(A, B[:0]).shape == (len(A), 0)
+
+
+def _row_major(name, X, A):
+    """rows_to_rows as one (|X|, |A|, dim) temporary reduced by ``.sum(-1)``."""
+    if name in ("euclidean", "manhattan"):
+        diff = A[None, :, :] - X[:, None, :]
+        if name == "manhattan":
+            return np.abs(diff).sum(-1)
+        return np.sqrt(np.square(diff).sum(-1))
+    nx = np.sqrt((X * X).sum(-1))
+    na = np.sqrt((A * A).sum(-1))
+    prod = na[None, :] * nx[:, None]
+    denom = np.where(prod == 0, 1.0, prod)
+    cos = (A[None, :, :] * X[:, None, :]).sum(-1) / denom
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def _spread(g, shape):
+    # magnitudes over about 10 decades, so that a different order of the
+    # per-feature additions changes the last bits of many sums
+    return g.normal(size=shape) * np.exp(3 * g.normal(size=shape))
+
+
+# Below the threshold; one row of 4,096 and one row across two column
+# blocks (row-major in rows_to_rows, planes in rows_to_feature_major, as gmm
+# calls it); exactly the threshold; across row blocks of the planes (81 rows
+# of 100 columns fill one); across both row and column blocks.
+PLANE_SHAPES = [(3, 40), (1, 4096), (1, 9000), (64, 64), (170, 100), (2, 8200)]
+
+
+@pytest.mark.parametrize("dim", [*range(1, 10), 16, 17, 25, 50, 128, 129, 300])
+@pytest.mark.parametrize("name", METRICS)
+def test_planes_are_the_row_major_expression(name, dim):
+    # the plane kernel adds the per-feature planes in numpy's pairwise order
+    # (8 accumulators from 8 terms, split in two above 128), so every entry
+    # is the row-major .sum(-1) double
+    from repro.metrics import _CELLS, _PLANE_CELLS
+
+    assert _PLANE_CELLS == 64 * 64 and 170 * 100 > 2 * _CELLS and 8200 > _CELLS
+    m = get_metric(name)
+    g = np.random.default_rng(dim)
+    for n_x, n_a in PLANE_SHAPES:
+        X, A = _spread(g, (n_x, dim)), _spread(g, (n_a, dim))
+        want = _row_major(name, X, A)
+        got = m.rows_to_rows(X, A)
+        assert got.shape == want.shape and np.array_equal(got, want), (n_x, n_a)
+        got = m.rows_to_feature_major(X, m.feature_major(A))
+        assert np.array_equal(got, want), (n_x, n_a)
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_planes_handle_empty_inputs(name):
+    m = get_metric(name)
+    g = np.random.default_rng(8)
+    for n_x, n_a, dim in ((0, 5000, 4), (5000, 0, 4), (70, 70, 0), (1, 5000, 0), (3, 4, 0)):
+        X, A = g.normal(size=(n_x, dim)), g.normal(size=(n_a, dim))
+        want = _row_major(name, X, A)
+        for got in (m.rows_to_rows(X, A), m.rows_to_feature_major(X, m.feature_major(A))):
+            assert got.shape == (n_x, n_a) and np.array_equal(got, want), (n_x, n_a, dim)
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_rows_to_rows_rejects_unequal_feature_counts(name):
+    # on both paths, also where numpy would broadcast a single feature
+    m = get_metric(name)
+    for n_x, n_a in ((3, 4), (70, 70), (1, 5000)):
+        for d_x, d_a in ((5, 4), (1, 5), (5, 1)):
+            X, A = np.ones((n_x, d_x)), np.ones((n_a, d_a))
+            with pytest.raises(ValueError):
+                m.rows_to_rows(X, A)
+            with pytest.raises(ValueError):
+                m.rows_to_feature_major(X, m.feature_major(A))
+
+
+@pytest.mark.parametrize("dim", [6, 25, 50])
+@pytest.mark.parametrize("name", METRICS)
+def test_planes_are_symmetric_bit_for_bit(name, dim):
+    # StreamState.distances() writes a block's transpose as its columns
+    m = get_metric(name)
+    g = np.random.default_rng(dim)
+    X, A = _spread(g, (80, dim)), _spread(g, (120, dim))
+    assert np.array_equal(m.rows_to_rows(X, A), m.rows_to_rows(A, X).T)
