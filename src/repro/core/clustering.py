@@ -42,10 +42,10 @@ def threshold_clusters(D: np.ndarray, threshold: float) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     uf = UnionFind(n)
-    close_i, close_j = np.nonzero(D < threshold)
+    # Close pairs above the diagonal only, in row-major order.
+    close_i, close_j = np.nonzero(np.triu(D < threshold, 1))
     for i, j in zip(close_i.tolist(), close_j.tolist()):
-        if i < j:
-            uf.union(i, j)
+        uf.union(i, j)
     roots = np.array([uf.find(i) for i in range(n)])
     _, labels = np.unique(roots, return_inverse=True)
     return labels.astype(np.int64)

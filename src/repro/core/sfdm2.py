@@ -17,8 +17,10 @@ Post phase (lines 9-18), per guess μ with ``|S_μ| = k`` and
 Every guess slices the store's distance matrix, which the stream phase fills
 as it stores rows (:meth:`StreamState.distances`): ``solve`` computes no
 distance between stored rows, only ``div`` on each guess's k-row solution.
-The stream phase, ``U'`` and the pick of the best guess are
-:class:`~repro.core.stream_dm.StreamingDM`'s.
+The stream phase, ``U'``, the pick of the best guess and ``solve`` are
+:class:`~repro.core.stream_dm.StreamingDM`'s, so a solve post-processes only
+the guesses whose blind or group candidates grew since the solver's previous
+solve; a copied or unpickled solver post-processes every guess on its first.
 """
 from __future__ import annotations
 
@@ -70,7 +72,8 @@ class SFDM2(StreamingDM):
         """Post-process guess index g on a slice of the store's distance
         matrix, which the state keeps across calls and updates (a copied or
         unpickled solver rebuilds it on its first call); returns store
-        indices or None."""
+        indices or None. It reads only g's candidates' members and rows
+        that never change, which is what lets ``solve`` reuse its result."""
         st, m, k = self.state, self.m, self.k
         mu = float(self.mus[g])
         # S_all: union of the blind and all group candidates (store indices are

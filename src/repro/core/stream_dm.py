@@ -7,6 +7,12 @@ instances of it: they share its grid, its stream phase and its final pick
 (the guess of U′ whose solution has the largest ``div``), and differ only in
 their group candidates' caps and in how each guess of U′ is post-processed
 (:meth:`StreamingDM._post`).
+
+``solve`` can be called at any point of the stream, and it post-processes
+only the guesses whose candidates changed since the solver's previous
+``solve``: each guess's result is kept with the sizes of its candidates,
+which only grow, and reused while they are unchanged. Copies and pickles
+leave these results out.
 """
 from __future__ import annotations
 
@@ -69,6 +75,9 @@ class StreamingDM:
         self.k, self.ks = k, ks
         self.mus = guess_grid(d_min, d_max, eps)
         self.state = StreamState(self.metric, self.mus, dim, k, group_caps=group_caps)
+        # Per guess index: (candidate sizes, _post's result, its div) as of
+        # the last solve that post-processed it.
+        self._posted: dict[int, tuple] = {}
 
     def update(self, feats, groups=None, ids=None) -> None:
         self.state.update(feats, groups, ids)
@@ -81,19 +90,32 @@ class StreamingDM:
     def solve(self) -> DMResult:
         """Post-process every guess of ``U'`` (a full blind candidate and
         every group candidate holding at least its quota) and return the
-        first solution with the largest diversity (Alg. 1, line 7)."""
+        first solution with the largest diversity (Alg. 1, line 7).
+
+        A guess's result is reused while the sizes of its blind and group
+        candidates equal those it was post-processed at. That is exact:
+        candidates only grow, so equal sizes mean equal members, and ``_post``
+        and ``div`` read nothing else that changes (stored rows and their
+        distances never do). ``extra`` counts the guesses post-processed
+        (``posted``) and reused (``reused``) by this call.
+        """
         st = self.state
+        sizes = np.stack([st.blind.sizes, *(b.sizes for b in st.group_banks.values())], 1)
         in_u = st.blind.sizes == self.k
         for grp, kg in self.ks.items():
             in_u &= st.group_banks[grp].sizes >= kg
-        best = None
-        for g in np.flatnonzero(in_u).tolist():
-            sol = self._post(g)
-            if sol is None:
-                continue
-            d = div(st.feats[sol], self.metric)
-            if best is None or d > best[0]:
-                best = (d, sol, float(self.mus[g]))
+        u_prime = np.flatnonzero(in_u).tolist()
+        best, posted = None, 0
+        for g in u_prime:
+            key = sizes[g].tobytes()
+            if g not in self._posted or self._posted[g][0] != key:
+                sol = self._post(g)
+                d = None if sol is None else div(st.feats[sol], self.metric)
+                self._posted[g] = (key, sol, d)
+                posted += 1
+            _, sol, d = self._posted[g]
+            if sol is not None and (best is None or d > best[0]):
+                best = (d, sol, g)
         if best is None:
             name = type(self).__name__
             for grp, kg in sorted(self.ks.items()):
@@ -107,14 +129,28 @@ class StreamingDM:
                 f"{name}: no guess yielded a solution of size k={self.k} "
                 "(U' empty); extent estimate, k or quotas inconsistent with the data"
             )
-        d, sol, mu = best
-        idx = np.asarray(sol)
+        d, sol, g = best
+        idx = np.array(sol)  # a copy: callers must not reach the kept result
         return DMResult(
             indices=idx,
             ids=st.ids[idx],
             feats=st.feats[idx],
             groups=st.groups[idx],
             diversity=d,
-            mu=mu,
+            mu=float(self.mus[g]),
             n_stored=st.n_stored,
+            extra={
+                "guesses": len(self.mus),
+                "u_prime": len(u_prime),
+                "posted": posted,
+                "reused": len(u_prime) - posted,
+                "winner_index": g,
+            },
         )
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the state, not the post-processed
+        results: a copy's first :meth:`solve` post-processes every guess."""
+        state = self.__dict__.copy()
+        state["_posted"] = {}
+        return state

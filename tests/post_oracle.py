@@ -8,11 +8,15 @@ Each guess builds its own distance matrix from the features with
 slices, and clusters on it; the matroid intersection keeps dict label counts
 and asks ``PartitionMatroid.can_add`` per element. The tests require the
 production path to match these bit for bit. ``oracle_threshold_clusters``
-builds its matrix with ``Metric.pairwise``, the arithmetic of FairFlow's.
+builds its matrix with ``Metric.pairwise``, the arithmetic of FairFlow's;
+``oracle_clusters`` is ``threshold_clusters`` as it was before it took its
+pairs from the upper triangle alone.
 """
+import re
 from collections import deque
 
 import numpy as np
+import pytest
 
 from repro.core.clustering import UnionFind
 from repro.core.sfdm1 import swap_balance
@@ -22,10 +26,11 @@ from repro.matroid.partition import PartitionMatroid
 
 
 def oracle_threshold_clusters(feats, metric, threshold):
-    return _clusters(metric.pairwise(feats, feats), threshold)
+    return oracle_clusters(metric.pairwise(feats, feats), threshold)
 
 
-def _clusters(D, threshold):
+def oracle_clusters(D, threshold):
+    """Union-find over every close pair of ``D``, dropping those with i >= j."""
     n = len(D)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -136,7 +141,7 @@ def _post_one(s, g):
     for grp, kg in s.ks.items():
         members = [x for x in blind_local if groups[x] == grp]
         init.update(_greedy_maxmin_subset(D, members, kg))
-    labels = _clusters(D, mu / (m + 1))
+    labels = oracle_clusters(D, mu / (m + 1))
     seen, init_ok = set(), set()
     for x in sorted(init):
         c = int(labels[x])
@@ -199,3 +204,66 @@ def oracle_sfdm1_solve(s):
         return None
     d, sol, mu = best
     return st.ids[np.array(sol)], mu, d
+
+
+def anytime_vs_cold(s, X, grp=None, n_pieces=6):
+    """Feed ``X`` to solver ``s`` in ``n_pieces`` pieces plus a repeat of the
+    first piece after the third, and solve after each; each solve must equal a
+    cold solve on a deep copy bit for bit (ids, indices, μ, ``repr`` of the
+    diversity, ``n_stored``, or the same error), and every result ``s`` keeps
+    must equal the copy's. The repeat stores nothing: every candidate that
+    rejected a row before still rejects it, and every other one holds it or
+    is full. Returns counts of what the solves met: ``solved``, U' guesses
+    whose blind candidate was full and unchanged while a group candidate grew
+    (``group_grew``), and kept ``None`` results (``none``)."""
+    import copy
+    import pickle
+
+    grp = np.zeros(len(X), dtype=np.int64) if grp is None else grp
+    pieces = np.array_split(np.arange(len(X)), n_pieces)
+    pieces.insert(3, pieces[0])
+    counts = {"solved": 0, "group_grew": 0, "none": 0}
+    st, prev = s.state, None
+    for i, piece in enumerate(pieces):
+        n_stored = st.n_stored
+        s.update(X[piece], grp[piece])
+        if i == 3:
+            assert st.n_stored == n_stored
+        sizes = np.stack([st.blind.sizes, *(b.sizes for b in st.group_banks.values())], 1)
+        cold = copy.deepcopy(s)
+        assert cold._posted == {} and pickle.loads(pickle.dumps(s))._posted == {}
+        try:
+            want = cold.solve()
+        except RuntimeError as e:
+            with pytest.raises(RuntimeError, match=re.escape(str(e))):
+                s.solve()
+            want = None
+        if want is not None:
+            fresh = not s._posted
+            got = s.solve()
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.mu == want.mu and repr(got.diversity) == repr(want.diversity)
+            assert got.n_stored == want.n_stored
+            x, y = got.extra, want.extra
+            assert x["posted"] + x["reused"] == x["u_prime"] == y["u_prime"] == y["posted"]
+            assert x["guesses"] == len(s.mus) and x["winner_index"] == y["winner_index"]
+            if fresh:
+                assert x["posted"] == x["u_prime"]
+            if i == 3:
+                assert x["posted"] == 0
+            assert s.solve().extra["reused"] == x["u_prime"]
+            counts["solved"] += 1
+        assert s._posted.keys() == cold._posted.keys()
+        for g, (_, sol, d) in s._posted.items():
+            _, sol_c, d_c = cold._posted[g]
+            assert (sol is None) == (sol_c is None)
+            if sol is not None:
+                assert np.array_equal(sol, sol_c) and repr(d) == repr(d_c)
+            counts["none"] += sol is None
+            if prev is not None and g in prev[1]:
+                before = prev[0][g]
+                if before[0] == sizes[g, 0] and (before[1:] != sizes[g, 1:]).any():
+                    counts["group_grew"] += 1
+        prev = (sizes, set(s._posted))
+    return counts

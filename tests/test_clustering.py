@@ -76,3 +76,20 @@ def test_threshold_extremes(thresh):
         assert len(set(labels.tolist())) == 10
     else:
         assert len(set(labels.tolist())) == 1
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "angular"])
+@pytest.mark.parametrize("seed", range(3))
+def test_labels_equal_all_pairs_oracle(metric, seed):
+    # Upper-triangle pairs in row-major order make the oracle's union sequence,
+    # so the labels are identical, on symmetric and Gram-form matrices alike.
+    from tests.post_oracle import oracle_clusters
+
+    g = np.random.default_rng(seed)
+    X = np.abs(g.normal(size=(120, 5))) + 0.01
+    X[60:70] = X[0]  # ties at distance 0
+    met = get_metric(metric)
+    for D in (met.pairwise(X, X), met.rows_to_rows(X, X), g.random((50, 50))):
+        for q in (0.01, 0.1, 0.3, 0.7):
+            t = float(np.quantile(D, q))
+            assert np.array_equal(threshold_clusters(D, t), oracle_clusters(D, t))

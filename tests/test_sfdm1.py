@@ -180,3 +180,15 @@ def test_solve_matches_oracle(metric, seed):
         assert repr(r.diversity) == repr(want[2])
         solved += 1
     assert solved >= 2
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_anytime_solves_equal_cold_solves_on_copies(metric):
+    from tests.post_oracle import anytime_vs_cold
+
+    g = np.random.default_rng(50 + METRICS.index(metric))
+    X = np.abs(g.normal(size=(2000, 4))) + 0.01
+    grp = (g.random(2000) < 0.2).astype(int)
+    lo, hi = exact_extent(X[:300], get_metric(metric))
+    s = SFDM1(metric, ks={0: 6, 1: 3}, eps=0.1, d_min=lo, d_max=hi, dim=4)
+    assert anytime_vs_cold(s, X, grp)["solved"] >= 5

@@ -263,3 +263,37 @@ def test_solve_makes_no_pairwise_call_on_the_store(monkeypatch):
     monkeypatch.setattr(Metric, "pairwise", counted)
     s.solve()
     assert rows and max(rows) <= s.k
+
+
+# -- anytime solves reuse per-guess results --------------------------------------
+
+def _colocated(seed, n=3000):
+    """Group 0 spread along an arc, groups 1 and 2 both in one short stretch
+    of it: at guesses μ far above that stretch, one cluster holds every
+    stored row of groups 1 and 2, so no fair solution exists (``_post``
+    returns None), while small guesses have one."""
+    g = np.random.default_rng(seed)
+    grp = g.choice(3, n, p=[0.6, 0.2, 0.2])
+    th = np.where(grp == 0, g.uniform(0.1, 1.4, n), g.uniform(0.7, 0.73, n))
+    return np.c_[np.cos(th), np.sin(th)], grp, {0: 3, 1: 1, 2: 1}
+
+
+def _blobs_m14(seed, n=3000, dim=6):
+    g = np.random.default_rng(seed)
+    centers = g.uniform(-4, 4, size=(12, dim))
+    X = np.abs(centers[g.integers(0, 12, n)] + g.normal(size=(n, dim)))
+    return X, g.integers(0, 14, n), dict.fromkeys(range(14), 1)
+
+
+@pytest.mark.parametrize("case", ["colocated", "blobs_m14"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_anytime_solves_equal_cold_solves_on_copies(metric, case):
+    from tests.post_oracle import anytime_vs_cold
+
+    X, grp, ks = {"colocated": _colocated, "blobs_m14": _blobs_m14}[case](METRICS.index(metric))
+    lo, hi = exact_extent(X[:300], get_metric(metric))
+    s = SFDM2(metric, ks=ks, eps=0.1, d_min=lo, d_max=hi, dim=X.shape[1])
+    seen = anytime_vs_cold(s, X, grp)
+    assert seen["solved"] >= 5 and seen["group_grew"] >= 1
+    if case == "colocated":
+        assert seen["none"] >= 1

@@ -94,3 +94,14 @@ def test_ids_surface_original_stream_positions():
     a.update(X, ids=np.arange(1000, 1040))
     r = a.solve()
     assert set(r.ids) <= set(range(1000, 1040))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "angular"])
+def test_anytime_solves_equal_cold_solves_on_copies(metric):
+    from tests.post_oracle import anytime_vs_cold
+
+    g = np.random.default_rng(10)
+    X = np.abs(g.normal(size=(3000, 3))) + 0.01
+    d_min, d_max = exact_extent(X[:300], get_metric(metric))
+    a = StreamingDM(metric, k=6, eps=0.1, d_min=d_min, d_max=d_max, dim=3)
+    assert anytime_vs_cold(a, X)["solved"] == 7
