@@ -109,8 +109,4 @@ class SFDM2(StreamingDM):
         )
         if len(sol) != k:
             return None
-        # The base class reports div's diversity (Gram-form pairwise on the
-        # solution rows), as for every other algorithm; a slice of the store
-        # matrix, which is in rows_to_rows arithmetic, can differ from it in
-        # the last bit.
         return [int(s_all[x]) for x in sorted(sol)]

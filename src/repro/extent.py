@@ -4,19 +4,21 @@ The paper assumes ``d_min``/``d_max`` (hence Delta = d_max/d_min) are known.
 In a deployment they are estimated from a sample before the stream starts;
 ``estimate_extent`` does that (sampled, with safety factors), while
 ``exact_extent`` computes honest extremes for small instances so tests can
-verify the theoretical approximation bounds. The Spark pre-pass,
-:func:`repro.spark.extent.spark_extent`, shares ``pair_extent`` and the
-safety factors ``LO_FACTOR``/``HI_FACTOR``.
+verify the theoretical approximation bounds. Both scan every unordered pair
+once with :func:`pair_blocks`, and so does the Spark pre-pass,
+:func:`repro.spark.extent.spark_extent`, which also shares ``pair_extent``
+and the safety factors ``LO_FACTOR``/``HI_FACTOR``: the same rows give the
+same extent on either path.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .metrics import Metric
 
-_BLOCK = 2048
+_BLOCK_BYTES = 1 << 20  # target size of one block of pair distances
 LO_FACTOR, HI_FACTOR = 0.5, 2.0  # d_min is scaled down, d_max up
 
 
@@ -37,20 +39,27 @@ def pair_extent(blocks: Iterable[np.ndarray]) -> tuple[float, float]:
     return d_min, d_max
 
 
+def pair_blocks(X: np.ndarray, metric: Metric) -> Iterator[np.ndarray]:
+    """The distances of every unordered pair of rows of ``X``, a block of rows at a time.
+
+    Row ``lo + r`` of a block meets the rows after it, columns ``c >= r`` of
+    ``rows_to_rows(X[lo:hi], X[lo + 1:])``; each block stays near
+    ``_BLOCK_BYTES``.
+    """
+    n = len(X)
+    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
+    for lo in range(0, n - 1, step):
+        D = metric.rows_to_rows(X[lo : lo + step], X[lo + 1 :])
+        r, c = np.indices(D.shape)
+        yield D[c >= r]
+
+
 def exact_extent(X: np.ndarray, metric: Metric) -> tuple[float, float]:
     """Exact (min nonzero, max) pairwise distance. O(n^2) — small n only."""
     n = len(X)
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-
-    def blocks():
-        for i in range(0, n, _BLOCK):
-            D = metric.pairwise(X[i : i + _BLOCK], X)
-            r = np.arange(len(D))
-            D[r, i + r] = np.nan  # the diagonal block's self-distances
-            yield D
-
-    return pair_extent(blocks())
+    return pair_extent(pair_blocks(X, metric))
 
 
 def estimate_extent(

@@ -4,11 +4,13 @@ All algorithms in the paper are metric-agnostic; the three metrics here
 are the ones used in its evaluation (Table I). Each metric exposes
 vectorized forms:
 
-* ``pairwise(A, B)`` -> (|A| x |B|) distance matrix,
+* ``rows_to_rows(X, A)`` -> (|X| x |A|) distances, the one arithmetic,
+* ``pairwise(A, B)`` -> the same matrix, under the name its callers use,
 * ``point_to_rows(x, A)`` -> (|A|,) distances from one point,
-* ``rows_to_rows(X, A)`` -> the same arithmetic for many points at once,
 
-over float64 numpy arrays with points as rows.
+over float64 numpy arrays with points as rows. Every distance the package
+computes is a ``rows_to_rows`` double, so a pair has the same distance
+wherever it is measured.
 
 ``rows_to_rows`` sums each pair's per-feature terms in the order numpy's
 ``.sum(-1)`` sums a contiguous row (:func:`_pairwise_sum`). Small outputs
@@ -46,25 +48,8 @@ class Metric:
         self.name = name
 
     def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Full distance matrix between rows of A and rows of B."""
-        A = np.asarray(A, dtype=np.float64)
-        B = np.asarray(B, dtype=np.float64)
-        if self.name == "euclidean":
-            # (a-b)^2 = a^2 + b^2 - 2ab, clipped for fp negatives
-            sq = (
-                (A * A).sum(1)[:, None]
-                + (B * B).sum(1)[None, :]
-                - 2.0 * (A @ B.T)
-            )
-            return np.sqrt(np.clip(sq, 0.0, None))
-        if self.name == "manhattan":
-            return self.rows_to_rows(A, B)
-        # angular: arccos of cosine similarity, in [0, pi]
-        na = np.linalg.norm(A, axis=1)
-        nb = np.linalg.norm(B, axis=1)
-        denom = np.where(na[:, None] * nb[None, :] == 0, 1.0, na[:, None] * nb[None, :])
-        cos = (A @ B.T) / denom
-        return np.arccos(np.clip(cos, -1.0, 1.0))
+        """Full distance matrix between rows of A and rows of B: :meth:`rows_to_rows`."""
+        return self.rows_to_rows(A, B)
 
     def point_to_rows(self, x: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Distances from a single point ``x`` to every row of ``A``."""
@@ -73,14 +58,14 @@ class Metric:
     def rows_to_rows(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
         """(|X| x |A|) distances; entry ``[i, j]`` depends on ``X[i]`` and ``A[j]`` only.
 
-        Unlike :meth:`pairwise` (Gram form, BLAS), every sum here adds the
-        pair's per-feature terms in numpy's ``.sum(-1)`` order, so
-        ``rows_to_rows(X, A)[i, j]`` is bit-identical to
+        Every sum adds the pair's per-feature terms in numpy's ``.sum(-1)``
+        order, so ``rows_to_rows(X, A)[i, j]`` is bit-identical to
         ``point_to_rows(X[i], A[cols])`` at ``A[j]``'s position, for any
         ``cols``, and ``rows_to_rows(A, X)`` is its transpose bit for bit —
-        the stream phase relies on both (see DESIGN.md §3). Outputs of more
-        than one row and at least ``_PLANE_CELLS`` cells go through the plane
-        kernel, whose buffers stay near ``_BLOCK_BYTES``. The others build a
+        the stream phase, the store matrix and the extent scan rely on both
+        (see DESIGN.md §3). Outputs of more than one row and at least
+        ``_PLANE_CELLS`` cells go through the plane kernel, whose buffers
+        stay near ``_BLOCK_BYTES``. The others build a
         ``|X| x |A| x dim`` temporary: under ``_PLANE_CELLS * dim`` doubles
         for more than one row, ``|A| * dim`` for one.
         """

@@ -3,28 +3,20 @@
 Counts the rows, samples up to ``sample`` of them with ``df.sample``, and
 collects the sample once as an Arrow table, the path the streaming job
 collects each micro-batch by. The driver then scans every unordered pair of
-sampled rows with :meth:`Metric.rows_to_rows`, row-blocked, and applies the
-min-nonzero rule and safety factors it shares with
-:func:`repro.extent.estimate_extent`. This is the pre-pass a streaming
-deployment runs before the guess grid is fixed.
-
-``rows_to_rows``, not the Gram-form ``pairwise``: it sums along the feature
-axis, which numpy does as a left fold for fewer than 8 features, so there
-each distance is the double a Spark SQL ``aggregate(zip_with(...), 0D, ...)``
-fold gives, and the Adult grid does not depend on where the pairs are
-scanned (DESIGN.md §3).
+sampled rows with :func:`repro.extent.pair_blocks` and applies the
+min-nonzero rule and safety factors, all shared with
+:func:`repro.extent.estimate_extent`, so the same rows give the same extent
+on both paths. This is the pre-pass a streaming deployment runs before the
+guess grid is fixed.
 """
 from __future__ import annotations
 
-import numpy as np
 from pyspark.sql import DataFrame
 
 from ..core.bank import check_finite
-from ..extent import HI_FACTOR, LO_FACTOR, pair_extent
-from ..metrics import Metric, get_metric
+from ..extent import HI_FACTOR, LO_FACTOR, pair_blocks, pair_extent
+from ..metrics import get_metric
 from .streaming import _sorted_features
-
-_BLOCK_BYTES = 1 << 20  # target size of one block of pair distances
 
 
 def spark_extent(
@@ -52,20 +44,6 @@ def spark_extent(
         raise ValueError(f"the sample has {table.num_rows} of {n} rows, need at least 2")
     order, X = _sorted_features(table)
     check_finite(X, table.column("id").to_numpy()[order])
-    d_min, d_max = pair_extent(_pair_blocks(X, m))
+    d_min, d_max = pair_extent(pair_blocks(X, m))
     return d_min * lo_factor, d_max * hi_factor
 
-
-def _pair_blocks(X: np.ndarray, metric: Metric):
-    """The distances of every unordered pair of rows of ``X``, a block of rows at a time.
-
-    Row ``lo + r`` of a block meets the rows after it, columns ``c >= r`` of
-    ``rows_to_rows(X[lo:hi], X[lo + 1:])``; each block stays near
-    ``_BLOCK_BYTES``.
-    """
-    n = len(X)
-    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
-    for lo in range(0, n - 1, step):
-        D = metric.rows_to_rows(X[lo : lo + step], X[lo + 1 :])
-        r, c = np.indices(D.shape)
-        yield D[c >= r]

@@ -31,20 +31,18 @@ def test_exact_extent_single_point_raises():
         exact_extent(np.zeros((1, 2)), MET)
 
 
-def test_exact_extent_blocked_matches_direct():
-    # exercise the block loop with n > block by monkeypatching block size
+def test_exact_extent_blocked_matches_direct(monkeypatch):
+    # a budget of 7 rows of 50 distances spreads the pair scan over 7 blocks
     import repro.extent as ext
 
     g = np.random.default_rng(0)
     X = g.normal(size=(50, 3))
-    ref = exact_extent(X, MET)
-    old = ext._BLOCK
-    try:
-        ext._BLOCK = 7
-        got = exact_extent(X, MET)
-    finally:
-        ext._BLOCK = old
-    assert got == pytest.approx(ref)
+    D = MET.rows_to_rows(X, X)[np.triu_indices(len(X), k=1)]
+    monkeypatch.setattr(ext, "_BLOCK_BYTES", 8 * len(X) * 7)
+    blocks = list(ext.pair_blocks(X, MET))
+    assert len(blocks) == 7
+    assert np.array_equal(np.concatenate(blocks), D)
+    assert exact_extent(X, MET) == (float(D[D > 0].min()), float(D.max()))
 
 
 def test_estimate_small_n_uses_exact_with_factors():
