@@ -88,6 +88,8 @@ class StreamState:
         self.mus = np.asarray(mus, dtype=np.float64)
         if len(self.mus) == 0:
             raise ValueError("empty guess grid")
+        if dim < 1:
+            raise ValueError(f"dim is {dim}, must be at least 1")
         self.dim = dim
         self.k = k
         g = len(self.mus)
@@ -158,18 +160,25 @@ class StreamState:
            per-element test (``point_to_rows`` + ``accept_mask``) in stream
            order.
 
-        Raises ``ValueError`` naming the stream id of the first row with a
-        NaN or infinite feature, or (when there are group banks) of the first
-        row whose group has no bank, i.e. no quota, before changing any state.
+        Raises ``ValueError``, before changing any state, when ``feats`` does
+        not have ``dim`` columns or ``groups`` or ``ids`` is not one entry per
+        row; naming the stream id of the first row with a NaN or infinite
+        feature; or (when there are group banks) naming the first row whose
+        group has no bank, i.e. no quota.
         """
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
+        if feats.shape[1:] != (self.dim,):
+            raise ValueError(f"feats has shape {feats.shape}, expected {self.dim} features per row")
         if groups is None:
             groups = np.zeros(b, dtype=np.int64)
         groups = np.asarray(groups, dtype=np.int64)
         if ids is None:
             ids = np.arange(self.n_seen, self.n_seen + b, dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
+        for name, a in (("groups", groups), ("ids", ids)):
+            if a.shape != (b,):
+                raise ValueError(f"{name} has shape {a.shape}, expected one entry for each of {b} rows")
         check_finite(feats, ids)
         if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
             r = np.flatnonzero(~np.isin(groups, list(self.group_banks)))[0]

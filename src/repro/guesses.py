@@ -19,8 +19,8 @@ def guess_grid(d_min: float, d_max: float, eps: float) -> np.ndarray:
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if not (0.0 < d_min <= d_max):
-        raise ValueError(f"need 0 < d_min <= d_max, got {d_min}, {d_max}")
+    if not (0.0 < d_min <= d_max < np.inf):
+        raise ValueError(f"need 0 < d_min <= d_max < inf, got d_min={d_min}, d_max={d_max}")
     # log difference, not log of the ratio: d_max/d_min itself can overflow
     n = int(np.floor((np.log(d_max) - np.log(d_min)) / -np.log1p(-eps))) + 1
     if n > MAX_GUESSES:

@@ -8,7 +8,7 @@ Each guess builds its own distance matrix from the features with
 slices, and clusters on it; the matroid intersection keeps dict label counts
 and asks ``PartitionMatroid.can_add`` per element. The tests require the
 production path to match these bit for bit. ``oracle_threshold_clusters``
-builds its matrix with ``Metric.pairwise``, the arithmetic of FairFlow's;
+builds its matrix with ``Metric.pairwise``, as FairFlow does;
 ``oracle_clusters`` is ``threshold_clusters`` as it was before it took its
 pairs from the upper triangle alone.
 """
@@ -245,6 +245,9 @@ def anytime_vs_cold(s, X, grp=None, n_pieces=6):
             assert np.array_equal(got.indices, want.indices)
             assert got.mu == want.mu and repr(got.diversity) == repr(want.diversity)
             assert got.n_stored == want.n_stored
+            # one arithmetic: div's doubles are the store matrix's
+            D = st.distances()[np.ix_(got.indices, got.indices)]
+            assert got.diversity == D[np.triu_indices(len(D), k=1)].min()
             x, y = got.extra, want.extra
             assert x["posted"] + x["reused"] == x["u_prime"] == y["u_prime"] == y["posted"]
             assert x["guesses"] == len(s.mus) and x["winner_index"] == y["winner_index"]

@@ -270,6 +270,33 @@ def test_group_labels_free_without_group_banks():
     assert list(st.groups) == [7, -3]
 
 
+@pytest.mark.parametrize("feats,groups,ids,match", [
+    ((8, 2), 7, 8, "groups has shape"),
+    ((8, 2), 8, 3, "ids has shape"),
+    ((8, 3), 8, 8, "expected 2 features"),
+    ((8, 1), 8, 8, "expected 2 features"),
+])
+def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match):
+    import pickle
+
+    g = np.random.default_rng(5)
+    st = make_state(caps={0: 2, 1: 2})
+    st.update(g.normal(size=(10, 2)), g.integers(0, 2, 10))
+    before = pickle.dumps(st)
+    with pytest.raises(ValueError, match=match):
+        st.update(g.normal(size=feats) * 9, np.zeros(groups, dtype=int), np.arange(100, 100 + ids))
+    assert pickle.dumps(st) == before
+
+
+def test_constructors_name_a_bad_dim_or_d_max():
+    from repro.core.sfdm2 import SFDM2
+
+    with pytest.raises(ValueError, match="dim is 0"):
+        make_state(dim=0)
+    with pytest.raises(ValueError, match="d_max=inf"):
+        SFDM2("euclidean", ks={0: 1, 1: 1}, eps=0.1, d_min=0.1, d_max=np.inf, dim=2)
+
+
 # -- kernel path vs the per-element oracle ----------------------------------
 
 def _random_stream(metric, seed, n=6000, m=3):

@@ -60,7 +60,7 @@ def test_symmetry(name):
     m = get_metric(name)
     g = np.random.default_rng(1)
     A, B = g.random((6, 5)) + 0.1, g.random((7, 5)) + 0.1
-    assert np.allclose(m.pairwise(A, B), m.pairwise(B, A).T, atol=1e-9)
+    assert np.array_equal(m.pairwise(A, B), m.pairwise(B, A).T)
 
 
 @pytest.mark.parametrize("name", METRICS)
@@ -77,7 +77,20 @@ def test_point_to_rows_matches_pairwise(name):
     g = np.random.default_rng(3)
     A = g.random((8, 6)) + 0.1
     x = g.random(6) + 0.1
-    assert np.allclose(m.point_to_rows(x, A), m.pairwise(x[None, :], A)[0], atol=1e-9)
+    assert np.array_equal(m.point_to_rows(x, A), m.pairwise(x[None, :], A)[0])
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_pairwise_is_rows_to_rows(name):
+    # one arithmetic: div, the baselines and the extent read the doubles the
+    # stream phase and the store matrix do; (9, 11) is row-major, (80, 120)
+    # goes through the planes
+    m = get_metric(name)
+    g = np.random.default_rng(6)
+    for rows, cols, dim in ((9, 11, 5), (80, 120, 30)):
+        A, B = g.random((rows, dim)) + 0.1, g.random((cols, dim)) + 0.1
+        assert np.array_equal(m.pairwise(A, B), m.rows_to_rows(A, B))
+        assert np.array_equal(m.pairwise(A, A), m.rows_to_rows(A, A))
 
 
 @pytest.mark.parametrize("name", METRICS)

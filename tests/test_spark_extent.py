@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 
 from repro.datasets import adult_like, blobs, census_like, lyrics_like
-from repro.extent import exact_extent
+from repro.extent import estimate_extent, exact_extent
 from repro.spark.extent import spark_extent
 
 
 def test_small_dataset_matches_exact(spark):
+    # the sample is every row, and both paths scan its pairs with pair_blocks
     ds = blobs(120, 2, seed=3)
     lo, hi = spark_extent(ds.to_spark(spark), ds.metric_name, sample=200)
     d_min, d_max = exact_extent(ds.feats, ds.metric)
-    assert lo == pytest.approx(d_min * 0.5, rel=1e-6)
-    assert hi == pytest.approx(d_max * 2.0, rel=1e-6)
+    assert (lo, hi) == (d_min * 0.5, d_max * 2.0)
+
+
+@pytest.mark.parametrize("ds", [census_like(150, "sex"), lyrics_like(150)],
+                         ids=["census_like", "lyrics_like"])
+def test_every_row_sampled_equals_estimate_extent(spark, ds):
+    # 25 Manhattan and 50 angular features: the same doubles on both paths
+    got = spark_extent(ds.to_spark(spark), ds.metric_name, sample=200)
+    assert got == estimate_extent(ds.feats, ds.metric, sample=200)
 
 
 def test_sampled_brackets_truth(spark):
