@@ -5,9 +5,10 @@ One :class:`StreamState` holds
 * a bounded **element store** — features/group/id of every element accepted by
   at least one candidate (the paper's ``O(km logΔ/ε)`` memory bound), and
 * one or more :class:`CandidateBank` s — for each guess ``μ`` in the grid, a
-  candidate subset of the store, represented as a ``(G, store)`` boolean
-  membership matrix so a single masked-min evaluates ``d(x, S_μ)`` for every
-  guess at once.
+  candidate subset of the store: a list of at most ``cap`` store indices,
+  one row of a ``(G, cap)`` matrix padded with ``-1``. One gather of x's
+  distances to the store, followed by a ``+inf`` for the padding to read,
+  and one min give ``d(x, S_μ)`` for every guess at once.
 
 The update rule per element x (Algorithm 1, line 5): for each guess μ with
 ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``, add x to ``S_μ``. Acceptance is
@@ -34,43 +35,47 @@ _DIST_GROWTH = 1.25  # capacity step of the store's distance matrix
 
 
 class CandidateBank:
-    """G candidates (one per guess) over a shared element store."""
+    """G candidates (one per guess) over a shared element store.
 
-    def __init__(self, n_guesses: int, cap: int, store_capacity: int = 64):
+    ``members[g, :sizes[g]]`` are candidate g's store indices in the order
+    they were stored, so ascending; the rest of the row is ``-1``. Only this
+    module reads ``members``; the rest of the program calls :meth:`indices`.
+    """
+
+    def __init__(self, n_guesses: int, cap: int):
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self.cap = cap
-        self.member = np.zeros((n_guesses, store_capacity), dtype=bool)
+        self.members = np.full((n_guesses, cap), -1, dtype=np.int64)
         self.sizes = np.zeros(n_guesses, dtype=np.int64)
 
-    def grow(self, new_capacity: int) -> None:
-        g, old = self.member.shape
-        if new_capacity <= old:
-            return
-        m = np.zeros((g, new_capacity), dtype=bool)
-        m[:, :old] = self.member
-        self.member = m
+    def add(self, acc: np.ndarray, j: int) -> None:
+        """Append store index ``j`` to the candidates of the guesses ``acc`` marks."""
+        self.members[acc, self.sizes[acc]] = j
+        self.sizes[acc] += 1
 
-    def accept_mask(self, dists: np.ndarray, mus: np.ndarray, n_stored: int) -> np.ndarray:
-        """Which guesses accept an element at distance vector ``dists``.
+    def indices(self, guess: int) -> np.ndarray:
+        """Store indices of candidate ``S_μ`` for guess index ``guess``, ascending."""
+        return self.members[guess, : self.sizes[guess]]
 
-        ``d(x, ∅) = ∞`` so an empty candidate accepts at every guess.
+    def accept_mask(self, D: np.ndarray, mus: np.ndarray, pos: np.ndarray | None = None) -> np.ndarray:
+        """``(G, elements)`` mask of the guesses that accept each element,
+        Algorithm 1 line 5: ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``.
+
+        Column e of ``D`` holds element e's distances to the store, one per
+        stored row, then ``+inf``. The ``-1`` padding reads the ``+inf``, so
+        ``d(x, ∅) = ∞`` and an empty candidate accepts. Given ``pos``,
+        the distances to stored row j are ``D[pos[j]]`` and the ``+inf`` is
+        ``D[pos[-1]]``.
         """
-        nonfull = self.sizes < self.cap
-        out = np.zeros(len(mus), dtype=bool)
-        if not nonfull.any():
-            return out
-        if n_stored == 0:
-            out[:] = nonfull
-            return out
-        M = self.member[nonfull, :n_stored]
-        dmin = np.where(M, dists[None, :n_stored], np.inf).min(axis=1)
-        out[nonfull] = dmin >= mus[nonfull]
+        out = np.zeros((len(mus), D.shape[1]), dtype=bool)
+        nonfull = np.flatnonzero(self.sizes < self.cap)
+        if nonfull.size:
+            idx = self.members[nonfull, : max(1, self.sizes[nonfull].max())]
+            if pos is not None:
+                idx = pos[idx]
+            out[nonfull] = D[idx].min(axis=1) >= mus[nonfull, None]
         return out
-
-    def indices(self, guess: int, n_stored: int) -> np.ndarray:
-        """Store indices of candidate ``S_μ`` for guess index ``guess``."""
-        return np.flatnonzero(self.member[guess, :n_stored])
 
 
 class StreamState:
@@ -129,9 +134,6 @@ class StreamState:
             self._feats = np.resize(self._feats, (new_cap, self.dim))
             self._groups = np.resize(self._groups, new_cap)
             self._ids = np.resize(self._ids, new_cap)
-            self.blind.grow(new_cap)
-            for b in self.group_banks.values():
-                b.grow(new_cap)
         j = self.n_stored
         self._feats[j] = x
         self._groups[j] = group
@@ -198,13 +200,15 @@ class StreamState:
     def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
         """Algorithm 1, line 5 for one element, against the blind and own-group bank."""
         # x goes into the spare row past the store first, so the vector ends
-        # with d(x, x): the diagonal entry of the distance matrix.
+        # with d(x, x): the diagonal entry of the distance matrix. Its +inf
+        # for accept_mask goes after that.
         n = self.n_stored
         self._feats[n] = x
         dists = self.metric.point_to_rows(x, self._feats[: n + 1])
-        acc_b = self.blind.accept_mask(dists, self.mus, self.n_stored)
+        D = np.append(dists, np.inf)[:, None]
+        acc_b = self.blind.accept_mask(D, self.mus)[:, 0]
         gb = self.group_banks.get(grp)
-        acc_g = gb.accept_mask(dists, self.mus, self.n_stored) if gb is not None else None
+        acc_g = gb.accept_mask(D, self.mus)[:, 0] if gb is not None else None
         took_b = bool(acc_b.any())
         took_g = acc_g is not None and bool(acc_g.any())
         if took_b or took_g:
@@ -218,11 +222,9 @@ class StreamState:
                 self._dist[:j, j] = dists[:j]
                 self._n_dist = j + 1
             if took_b:
-                self.blind.member[acc_b, j] = True
-                self.blind.sizes[acc_b] += 1
+                self.blind.add(acc_b, j)
             if took_g:
-                gb.member[acc_g, j] = True
-                gb.sizes[acc_g] += 1
+                gb.add(acc_g, j)
 
     # -- store distance matrix ------------------------------------------------
     def distances(self) -> np.ndarray:
@@ -264,13 +266,9 @@ class StreamState:
         state["_dist"], state["_n_dist"] = np.empty((0, 0)), 0
         return state
 
-    def _banks(self) -> list[tuple]:
-        """``(group, member, sizes, cap)`` per bank; group None is the blind bank."""
-        n = self.n_stored
-        return [
-            (g, b.member[:, :n], b.sizes, b.cap)
-            for g, b in [(None, self.blind), *self.group_banks.items()]
-        ]
+    def _banks(self) -> list[tuple[int | None, CandidateBank]]:
+        """``(group, bank)`` per bank; group None is the blind bank."""
+        return [(None, self.blind), *self.group_banks.items()]
 
     # -- state copy -----------------------------------------------------------
     def snapshot(self) -> dict:
@@ -279,7 +277,7 @@ class StreamState:
             "metric": self.metric.name,
             "mus": self.mus.copy(),
             "feats": self.feats.copy(),
-            "banks": [(g, m.copy(), s.copy(), cap) for g, m, s, cap in self._banks()],
+            "banks": [(g, b.members.copy(), b.sizes.copy(), b.cap) for g, b in self._banks()],
         }
 
 
@@ -294,46 +292,39 @@ def keep_mask(
     metric: Metric,
     mus: np.ndarray,
     store: np.ndarray,
-    banks: list[tuple],
+    banks: list[tuple[int | None, CandidateBank]],
     feats: np.ndarray,
     groups: np.ndarray,
 ) -> np.ndarray:
     """The rejection kernel: False where no candidate of the state can accept a row.
 
-    ``banks`` holds ``(group, member, sizes, cap)`` with ``member`` of shape
-    ``(G, len(store))``; group None (the blind bank) sees every row, any
-    other bank only the rows of its group. A row is kept when some non-full
-    candidate ``S_μ`` of a bank it sees has ``d(x, S_μ) >= μ``, the test
-    ``CandidateBank.accept_mask`` makes. Distances come from
-    :meth:`Metric.rows_to_rows`, only to stored rows in some non-full
-    candidate, row-blocked so the distance block and its gather by member
-    position stay near ``_BLOCK_BYTES``; ``rows_to_rows`` bounds its own
-    temporaries, as its docstring says.
+    ``banks`` holds ``(group, CandidateBank)`` pairs over ``store``; group
+    None (the blind bank) sees every row, any other bank only the rows of
+    its group. A row is kept when the per-element test,
+    :meth:`CandidateBank.accept_mask`, accepts it at some guess of a bank it
+    sees. Distances come from :meth:`Metric.rows_to_rows`, only to stored
+    rows in some non-full candidate (``cols``, found through the lookup
+    ``pos``), row-blocked so the distance block and its gather stay near
+    ``_BLOCK_BYTES``; ``rows_to_rows`` bounds its own temporaries, as its
+    docstring says.
     """
     out = np.zeros(len(feats), dtype=bool)
-    for grp, member, sizes, cap in banks:
+    for grp, bank in banks:
         rows = np.arange(len(feats)) if grp is None else np.flatnonzero(groups == grp)
-        nonfull = np.flatnonzero(sizes < cap)
-        if rows.size == 0 or nonfull.size == 0:
+        nonfull = bank.sizes < bank.cap
+        if rows.size == 0 or not nonfull.any():
             continue
-        if (sizes[nonfull] == 0).any():  # d(x, ∅) = ∞ accepts every row
-            out[rows] = True
-            continue
-        M = member[nonfull]
-        cols = np.flatnonzero(M.any(axis=0))
-        M = M[:, cols]
-        # Padded (G', width) member positions into ``cols``; the padding
-        # points at column len(cols), which holds +inf.
-        width = int(sizes[nonfull].max())
-        idx = np.argsort(~M, axis=1, kind="stable")[:, :width]
-        idx[np.arange(width)[None, :] >= sizes[nonfull][:, None]] = len(cols)
-        A, mu = store[cols], mus[nonfull]
-        per_row = 8 * max(len(cols) + 1, idx.size)  # a row of D, of D[:, idx]
+        width = max(1, bank.sizes[nonfull].max())
+        cols = np.unique(bank.members[nonfull, :width])
+        cols = cols[cols >= 0]
+        pos = np.full(len(store) + 1, len(cols))  # pos[-1]: D's +inf row
+        pos[cols] = np.arange(len(cols))
+        A = store[cols]
+        per_row = 8 * max(len(cols) + 1, np.count_nonzero(nonfull) * width)  # a column of D, its gather
         step = max(1, _BLOCK_BYTES // per_row)
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
-            D = np.full((r.size, len(cols) + 1), np.inf)
-            D[:, :-1] = metric.rows_to_rows(feats[r], A)
-            out[r] |= (D[:, idx].min(axis=2) >= mu).any(axis=1)
+            D = np.full((len(cols) + 1, r.size), np.inf)
+            D[:-1] = metric.rows_to_rows(A, feats[r])
+            out[r] |= bank.accept_mask(D, mus, pos).any(axis=0)
     return out
-

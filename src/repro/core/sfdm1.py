@@ -80,13 +80,13 @@ class SFDM1(StreamingDM):
         """Guess index g's blind candidate, balanced by :func:`swap_balance`
         if a group is under-filled (lines 11-17)."""
         st = self.state
-        sol = st.blind.indices(g, st.n_stored).tolist()
+        sol = st.blind.indices(g).tolist()
         counts = {grp: int((st.groups[sol] == grp).sum()) for grp in self.ks}
         under = [grp for grp, kg in self.ks.items() if counts[grp] < kg]
         if not under:
             return sol
         (gu,) = under
-        pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
+        pool = st.group_banks[gu].indices(g).tolist()
         return swap_balance(
             st.feats, st.groups, sol, pool, gu, self.ks[gu], self.k, self.metric
         )

@@ -76,16 +76,14 @@ class SFDM2(StreamingDM):
         that never change, which is what lets ``solve`` reuse its result."""
         st, m, k = self.state, self.m, self.k
         mu = float(self.mus[g])
-        # S_all: union of the blind and all group candidates (store indices are
-        # already deduplicated: each element is stored once).
-        sel = st.blind.member[g, : st.n_stored].copy()
-        for b in st.group_banks.values():
-            sel |= b.member[g, : st.n_stored]
-        s_all = np.flatnonzero(sel)
+        # S_all: union of the blind and all group candidates (each element is
+        # stored once, so equal store indices are the same element).
+        blind = st.blind.indices(g)
+        s_all = np.unique(np.concatenate([blind, *(b.indices(g) for b in st.group_banks.values())]))
         groups = st.groups[s_all]
         D = st.distances()[np.ix_(s_all, s_all)]
         # local positions of the blind candidate within s_all (both ascending)
-        blind_local = np.flatnonzero(st.blind.member[g, s_all]).tolist()
+        blind_local = np.searchsorted(s_all, blind).tolist()
         # (1) initial partial solution: at most k_i per group from S_mu
         init: set[int] = set()
         for grp, kg in self.ks.items():

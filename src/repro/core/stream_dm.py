@@ -85,7 +85,7 @@ class StreamingDM:
     def _post(self, g: int):
         """Guess index g's solution as store indices, or None if it has none
         (Algorithm 1: the blind candidate itself)."""
-        return self.state.blind.indices(g, self.state.n_stored)
+        return self.state.blind.indices(g)
 
     def solve(self) -> DMResult:
         """Post-process every guess of ``U'`` (a full blind candidate and

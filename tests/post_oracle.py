@@ -128,15 +128,12 @@ def oracle_max_common_independent_set(m1, m2, *, init=None, dist_matrix=None, ta
 def _post_one(s, g):
     st, m, k = s.state, s.m, s.k
     mu = float(s.mus[g])
-    sel = st.blind.member[g, : st.n_stored].copy()
-    for b in st.group_banks.values():
-        sel |= b.member[g, : st.n_stored]
-    s_all = np.flatnonzero(sel)
+    s_all = sorted({int(x) for _, b in st._banks() for x in b.indices(g)})
     feats = st.feats[s_all]
     groups = st.groups[s_all]
     D = s.metric.rows_to_rows(feats, feats)
     pos = {int(x): i for i, x in enumerate(s_all)}
-    blind_local = [pos[int(x)] for x in st.blind.indices(g, st.n_stored)]
+    blind_local = [pos[int(x)] for x in st.blind.indices(g)]
     init = set()
     for grp, kg in s.ks.items():
         members = [x for x in blind_local if groups[x] == grp]
@@ -188,12 +185,12 @@ def oracle_sfdm1_solve(s):
             continue
         if any(st.group_banks[grp].sizes[g] != kg for grp, kg in s.ks.items()):
             continue
-        sol = st.blind.indices(g, st.n_stored).tolist()
+        sol = st.blind.indices(g).tolist()
         counts = {grp: int((st.groups[sol] == grp).sum()) for grp in s.ks}
         under = [grp for grp, kg in s.ks.items() if counts[grp] < kg]
         if under:
             (gu,) = under
-            pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
+            pool = st.group_banks[gu].indices(g).tolist()
             sol = swap_balance(st.feats, st.groups, sol, pool, gu, s.ks[gu], k, s.metric)
             if sol is None:
                 continue

@@ -1,6 +1,8 @@
 """StreamState / CandidateBank: acceptance semantics, chunk invariance,
 prefilter safety of the rejection kernel over an earlier state, and the
 kernel path against the per-element oracle."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,19 @@ from repro.metrics import METRICS, get_metric
 MET = get_metric("euclidean")
 
 
+def oracle_accept(bank, dists, mus, n):
+    """Algorithm 1, line 5 as a masked min over a boolean ``(G, n)``
+    membership built from ``bank.indices``: another arithmetic than
+    ``CandidateBank.accept_mask``'s gather, so the oracle checks it."""
+    member = np.zeros((len(mus), n), dtype=bool)
+    for g in range(len(mus)):
+        member[g, bank.indices(g)] = True
+    dmin = np.where(member, dists[None, :n], np.inf).min(axis=1, initial=np.inf)
+    return (bank.sizes < bank.cap) & (dmin >= mus)
+
+
 def oracle_update(st, feats, groups=None, ids=None):
-    """Reference stream update: every row through point_to_rows + accept_mask."""
+    """Reference stream update: every row through point_to_rows + oracle_accept."""
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     b = len(feats)
     if groups is None:
@@ -25,21 +38,31 @@ def oracle_update(st, feats, groups=None, ids=None):
     mus = st.mus
     for r in range(b):
         x, grp, eid = feats[r], int(groups[r]), int(ids[r])
-        dists = st.metric.point_to_rows(x, st._feats[: st.n_stored])
-        acc_b = st.blind.accept_mask(dists, mus, st.n_stored)
-        gb = st.group_banks.get(grp)
-        acc_g = gb.accept_mask(dists, mus, st.n_stored) if gb is not None else None
-        took_b = bool(acc_b.any())
-        took_g = acc_g is not None and bool(acc_g.any())
-        if took_b or took_g:
+        n = st.n_stored
+        dists = st.metric.point_to_rows(x, st._feats[:n])
+        accepts = [(st.blind, oracle_accept(st.blind, dists, mus, n))]
+        if grp in st.group_banks:
+            gb = st.group_banks[grp]
+            accepts.append((gb, oracle_accept(gb, dists, mus, n)))
+        if any(acc.any() for _, acc in accepts):
             j = st._append(x, grp, eid)
-            if took_b:
-                st.blind.member[acc_b, j] = True
-                st.blind.sizes[acc_b] += 1
-            if took_g:
-                gb.member[acc_g, j] = True
-                gb.sizes[acc_g] += 1
+            for bank, acc in accepts:
+                for g in np.flatnonzero(acc):
+                    bank.members[g, bank.sizes[g]] = j
+                    bank.sizes[g] += 1
         st.n_seen += 1
+
+
+def assert_member_lists(st):
+    """Each candidate is its first ``sizes[g]`` entries: distinct store
+    indices in ascending (stored) order, then ``-1`` padding."""
+    for _, bank in st._banks():
+        assert bank.members.shape == (len(st.mus), bank.cap)
+        for g, size in enumerate(bank.sizes):
+            row = bank.members[g]
+            assert 0 <= size <= bank.cap
+            assert (np.diff(row[:size]) > 0).all() and (row[size:] == -1).all()
+            assert size == 0 or 0 <= row[0] <= row[size - 1] < st.n_stored
 
 
 def assert_same_state(a, b):
@@ -47,9 +70,11 @@ def assert_same_state(a, b):
     assert np.array_equal(a.ids, b.ids)
     assert np.array_equal(a.groups, b.groups)
     assert np.array_equal(a.feats, b.feats)
-    for (ga, ma, sa, _), (gb, mb, sb, _) in zip(a._banks(), b._banks(), strict=True):
-        assert ga == gb
-        assert np.array_equal(ma, mb) and np.array_equal(sa, sb)
+    for (ga, ba), (gb, bb) in zip(a._banks(), b._banks(), strict=True):
+        assert ga == gb and ba.cap == bb.cap
+        assert np.array_equal(ba.members, bb.members) and np.array_equal(ba.sizes, bb.sizes)
+    assert_member_lists(a)
+    assert_member_lists(b)
 
 
 def make_state(mus=(1.0, 2.0), k=3, caps=None, dim=2):
@@ -103,7 +128,7 @@ def test_store_growth_preserves_membership():
     X = g.normal(size=(300, 2)) * 100
     st.update(X)
     assert st.n_stored > 64  # grew past initial capacity
-    idx = st.blind.indices(0, st.n_stored)
+    idx = st.blind.indices(0)
     assert len(idx) == st.blind.sizes[0]
 
 
@@ -120,10 +145,7 @@ def test_chunked_equals_oneshot():
     assert np.array_equal(a.feats, b.feats)
     assert np.array_equal(a.blind.sizes, b.blind.sizes)
     for grp_id in (0, 1):
-        assert np.array_equal(
-            a.group_banks[grp_id].member[:, : a.n_stored],
-            b.group_banks[grp_id].member[:, : b.n_stored],
-        )
+        assert np.array_equal(a.group_banks[grp_id].members, b.group_banks[grp_id].members)
 
 
 def test_ids_tracked():
@@ -154,9 +176,9 @@ def test_empty_guess_grid_rejected():
 # -- prefilter: the kernel over an earlier state -------------------------------
 
 def kept_by_copy(st, feats, groups):
-    """``keep_mask`` over a copy of ``st``'s arrays, as of this call."""
-    banks = [(g, m.copy(), s.copy(), cap) for g, m, s, cap in st._banks()]
-    return keep_mask(st.metric, st.mus.copy(), st.feats.copy(), banks, feats, groups)
+    """``keep_mask`` over a deep copy of ``st``, as of this call."""
+    c = copy.deepcopy(st)
+    return keep_mask(c.metric, c.mus, c.feats, c._banks(), feats, groups)
 
 
 def _full_state_and_batch(seed=3, n_pre=150, n_batch=80):
@@ -217,7 +239,7 @@ def test_prefilter_keeps_exact_ties():
         assert keep[0]
 
 
-def test_survives_snapshot_is_the_kernel():
+def test_kernel_over_a_deep_copy_is_the_kernel_over_the_live_state():
     st, Xb, gb = _full_state_and_batch()
     want = keep_mask(st.metric, st.mus, st.feats, st._banks(), Xb, gb)
     assert np.array_equal(kept_by_copy(st, Xb, gb), want)
