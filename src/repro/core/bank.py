@@ -165,8 +165,9 @@ class StreamState:
         Raises ``ValueError``, before changing any state, when ``feats`` does
         not have ``dim`` columns or ``groups`` or ``ids`` is not one entry per
         row; naming the stream id of the first row with a NaN or infinite
-        feature; or (when there are group banks) naming the first row whose
-        group has no bank, i.e. no quota.
+        feature, or with a group that is not an integer; or (when there are
+        group banks) naming the first row whose group has no bank, i.e. no
+        quota.
         """
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
@@ -174,7 +175,7 @@ class StreamState:
             raise ValueError(f"feats has shape {feats.shape}, expected {self.dim} features per row")
         if groups is None:
             groups = np.zeros(b, dtype=np.int64)
-        groups = np.asarray(groups, dtype=np.int64)
+        groups = np.asarray(groups)
         if ids is None:
             ids = np.arange(self.n_seen, self.n_seen + b, dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
@@ -182,6 +183,12 @@ class StreamState:
             if a.shape != (b,):
                 raise ValueError(f"{name} has shape {a.shape}, expected one entry for each of {b} rows")
         check_finite(feats, ids)
+        if groups.dtype.kind == "f":  # int64 would truncate 0.5 to group 0
+            bad = np.flatnonzero((np.floor(groups) != groups) | np.isinf(groups))
+            if bad.size:
+                r = bad[0]
+                raise ValueError(f"stream id {int(ids[r])} has group {float(groups[r])}, not an integer")
+        groups = groups.astype(np.int64, copy=False)
         if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
             r = np.flatnonzero(~np.isin(groups, list(self.group_banks)))[0]
             raise ValueError(

@@ -297,6 +297,9 @@ def test_group_labels_free_without_group_banks():
     ((8, 2), 8, 3, "ids has shape"),
     ((8, 3), 8, 8, "expected 2 features"),
     ((8, 1), 8, 8, "expected 2 features"),
+    ((5, 2), [0.5, 1.7, 0.2, 1.0, 0.9], 5, "stream id 100 has group 0.5, not an integer"),
+    ((5, 2), [0.0, 1.0, np.nan, 1.0, 0.0], 5, "stream id 102 has group nan"),
+    ((5, 2), [0.0, 1.0, 1.0, -np.inf, 0.0], 5, "stream id 103 has group -inf"),
 ])
 def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match):
     import pickle
@@ -306,7 +309,8 @@ def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match)
     st.update(g.normal(size=(10, 2)), g.integers(0, 2, 10))
     before = pickle.dumps(st)
     with pytest.raises(ValueError, match=match):
-        st.update(g.normal(size=feats) * 9, np.zeros(groups, dtype=int), np.arange(100, 100 + ids))
+        grp = np.array(groups) if isinstance(groups, list) else np.zeros(groups, dtype=int)
+        st.update(g.normal(size=feats) * 9, grp, np.arange(100, 100 + ids))
     assert pickle.dumps(st) == before
 
 
