@@ -128,7 +128,7 @@ def oracle_max_common_independent_set(m1, m2, *, init=None, dist_matrix=None, ta
 def _post_one(s, g):
     st, m, k = s.state, s.m, s.k
     mu = float(s.mus[g])
-    s_all = sorted({int(x) for _, b in st._banks() for x in b.indices(g)})
+    s_all = sorted({int(x) for b in (st.blind, *st.group_banks.values()) for x in b.indices(g)})
     feats = st.feats[s_all]
     groups = st.groups[s_all]
     D = s.metric.rows_to_rows(feats, feats)

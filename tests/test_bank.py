@@ -308,8 +308,8 @@ def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match)
     st = make_state(caps={0: 2, 1: 2})
     st.update(g.normal(size=(10, 2)), g.integers(0, 2, 10))
     before = pickle.dumps(st)
+    grp = np.array(groups) if isinstance(groups, list) else np.zeros(groups, dtype=int)
     with pytest.raises(ValueError, match=match):
-        grp = np.array(groups) if isinstance(groups, list) else np.zeros(groups, dtype=int)
         st.update(g.normal(size=feats) * 9, grp, np.arange(100, 100 + ids))
     assert pickle.dumps(st) == before
 
