@@ -62,7 +62,7 @@ def assert_member_lists(st):
             row = bank.members[g]
             assert 0 <= size <= bank.cap
             assert (np.diff(row[:size]) > 0).all() and (row[size:] == -1).all()
-            assert size == 0 or 0 <= row[0] <= row[size - 1] < st.n_stored
+            assert size == 0 or (row[0] >= 0 and row[size - 1] < st.n_stored)
 
 
 def assert_same_state(a, b):
