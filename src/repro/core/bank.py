@@ -17,9 +17,10 @@ as in Algorithms 2/3. :meth:`StreamState.update` first drops, per chunk, the
 rows that :func:`keep_mask` shows no candidate can accept, then applies the
 rule to the rest in order.
 
-The state also keeps the store's distance matrix (:meth:`StreamState.distances`),
-written as rows are stored from the distance vector the rule already computed,
-so SFDM2's post-processing computes no store-wide distances of its own.
+The state also keeps the store's distance matrix for SFDM2's post-processing
+(:meth:`StreamState.distances`). Only ``distances`` writes it, when a solve
+reads it, so the stream phase keeps no more than the store and its
+candidates, and the matrix's cost falls in post-processing, as in the paper.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ class StreamState:
         return self._ids[: self.n_stored]
 
     def _append(self, x: np.ndarray, group: int, eid: int) -> int:
-        if self.n_stored + 1 == len(self._feats):  # keep a spare row for _offer
+        if self.n_stored == len(self._feats):
             new_cap = 2 * len(self._feats)
             self._feats = np.resize(self._feats, (new_cap, self.dim))
             self._groups = np.resize(self._groups, new_cap)
@@ -206,13 +207,7 @@ class StreamState:
 
     def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
         """Algorithm 1, line 5 for one element, against the blind and own-group bank."""
-        # x goes into the spare row past the store first, so the vector ends
-        # with d(x, x): the diagonal entry of the distance matrix. Its +inf
-        # for accept_mask goes after that.
-        n = self.n_stored
-        self._feats[n] = x
-        dists = self.metric.point_to_rows(x, self._feats[: n + 1])
-        D = np.append(dists, np.inf)[:, None]
+        D = np.append(self.metric.point_to_rows(x, self.feats), np.inf)[:, None]
         acc_b = self.blind.accept_mask(D, self.mus)[:, 0]
         gb = self.group_banks.get(grp)
         acc_g = gb.accept_mask(D, self.mus)[:, 0] if gb is not None else None
@@ -220,14 +215,6 @@ class StreamState:
         took_g = acc_g is not None and bool(acc_g.any())
         if took_b or took_g:
             j = self._append(x, grp, eid)
-            if self._n_dist == j:  # else distances() completes the matrix
-                # Row j ends with the diagonal, which need not be exactly 0
-                # (angular); column j is the same vector, because
-                # rows_to_rows is symmetric bit for bit (its terms commute).
-                self._reserve_distances(j + 1)
-                self._dist[j, : j + 1] = dists
-                self._dist[:j, j] = dists[:j]
-                self._n_dist = j + 1
             if took_b:
                 self.blind.add(acc_b, j)
             if took_g:
@@ -237,14 +224,20 @@ class StreamState:
     def distances(self) -> np.ndarray:
         """The store's distance matrix, ``rows_to_rows(feats, feats)`` bit for bit.
 
-        Rows stored while the matrix was complete were written by ``_offer``
-        from the distance vector the acceptance test used. The rest (all of
-        them in a copy, which drops the matrix) are computed here, once,
-        row-blocked so each block of rows stays near ``_BLOCK_BYTES``.
+        The only writer of the matrix. Each call computes the rows stored
+        since the previous call (all of them in a copy, which drops the
+        matrix), row-blocked so each block of rows stays near
+        ``_BLOCK_BYTES``, and mirrors each block into its columns, because
+        ``rows_to_rows`` is symmetric bit for bit. The buffer grows in
+        ``_DIST_GROWTH`` steps rather than the store's doubling (a 2,048²
+        buffer is 33 MB), since an anytime solver extends it at every solve.
         """
         n, lo = self.n_stored, self._n_dist
         if lo < n:
-            self._reserve_distances(n)
+            if n > len(self._dist):
+                D = np.empty((max(n, 64, int(len(self._dist) * _DIST_GROWTH)),) * 2)
+                D[:lo, :lo] = self._dist[:lo, :lo]
+                self._dist = D
             D, X = self._dist, self.feats
             step = max(1, _BLOCK_BYTES // (8 * n))
             for a in range(lo, n, step):
@@ -254,17 +247,6 @@ class StreamState:
                 D[:a, a:b] = R[:, :a].T
             self._n_dist = n
         return self._dist[:n, :n]
-
-    def _reserve_distances(self, n: int) -> None:
-        """Make the matrix buffer hold at least n rows, in ``_DIST_GROWTH``
-        steps rather than the store's doubling (a 2,048² buffer is 33 MB)."""
-        cap = len(self._dist)
-        if n <= cap:
-            return
-        D = np.empty((max(n, 64, int(cap * _DIST_GROWTH)),) * 2)
-        k = self._n_dist
-        D[:k, :k] = self._dist[:k, :k]
-        self._dist = D
 
     def __getstate__(self) -> dict:
         """Copies and pickles carry the store, not its distance matrix: it is

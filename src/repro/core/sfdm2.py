@@ -14,9 +14,11 @@ Post phase (lines 9-18), per guess μ with ``|S_μ| = k`` and
    far-point insertion + Cunningham augmentation), which augments ``S'_μ``
    to a fair size-k solution whenever one exists.
 
-Every guess slices the store's distance matrix, which the stream phase fills
-as it stores rows (:meth:`StreamState.distances`): ``solve`` computes no
-distance between stored rows, only ``div`` on each guess's k-row solution.
+Every guess slices the store's distance matrix (:meth:`StreamState.distances`),
+which the first post-processed guess of a solve extends by the rows stored
+since the previous solve, so post-processing computes each stored pair's
+distance once; beyond that, ``solve`` computes only ``div`` on each guess's
+k-row solution.
 The stream phase, ``U'``, the pick of the best guess and ``solve`` are
 :class:`~repro.core.stream_dm.StreamingDM`'s, so a solve post-processes only
 the guesses whose blind or group candidates grew since the solver's previous
@@ -70,8 +72,9 @@ class SFDM2(StreamingDM):
 
     def _post(self, g: int) -> list[int] | None:
         """Post-process guess index g on a slice of the store's distance
-        matrix, which the state keeps across calls and updates (a copied or
-        unpickled solver rebuilds it on its first call); returns store
+        matrix, which the state keeps across calls and extends by the rows
+        stored since (a copied or unpickled solver builds it whole on its
+        first call); returns store
         indices or None. It reads only g's candidates' members and rows
         that never change, which is what lets ``solve`` reuse its result."""
         st, m, k = self.state, self.m, self.k

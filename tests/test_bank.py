@@ -392,9 +392,9 @@ def test_table2_configs_match_oracle(dataset, grouping, eps):
 @pytest.mark.parametrize("caps", ["sfdm1", "sfdm2"])
 @pytest.mark.parametrize("metric", METRICS)
 def test_distances_equal_rows_to_rows_across_rounds(metric, caps):
-    # Rounds of update + distances(): rows stored after the first call are
-    # written by _offer; the round at 30 adds no rows. The store crosses
-    # several capacity steps of the matrix.
+    # Rounds of update + distances(): each call extends the matrix by the
+    # rows stored since the previous one; the round at 30 adds no rows. The
+    # store crosses several capacity steps of the matrix.
     g = np.random.default_rng(METRICS.index(metric))
     X, G = g.uniform(0.1, 1, size=(3000, 6)), g.integers(0, 3, 3000)
     met = get_metric(metric)

@@ -109,6 +109,7 @@ def test_space_bound():
     # blind cap k + two group caps k_i per guess
     assert r.n_stored <= (8 + 4 + 4) * len(s.mus)
     assert r.n_stored < len(X) / 5
+    assert s.state._dist.size == 0  # only SFDM2's post-processing builds the store matrix
 
 
 @pytest.mark.parametrize("metric", ["manhattan", "angular"])

@@ -232,8 +232,8 @@ def test_copies_drop_the_distance_matrix_and_solve_the_same(metric):
     for c in copies:
         assert c.state._n_dist == 0 and c.state._dist.size == 0
         assert _same_result(c.solve(), want)
-    # Further updates: the original writes rows into its complete matrix, a
-    # solved copy into its rebuilt one, an unsolved copy into none.
+    # Further updates, then solves: the original and a solved copy extend
+    # their matrices by the new rows, an unsolved copy builds its whole.
     copies.append(copy.deepcopy(s))
     for lo_ in (1500, 2200):
         for solver in (s, *copies):

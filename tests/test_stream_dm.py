@@ -73,6 +73,7 @@ def test_space_bounded_by_k_times_guesses():
     r = a.solve()
     assert r.n_stored <= 5 * len(a.mus)
     assert r.n_stored < len(X) / 10  # sublinear in practice
+    assert a.state._dist.size == 0  # only SFDM2's post-processing builds the store matrix
 
 
 def test_k_larger_than_n_fails_cleanly():
