@@ -165,30 +165,36 @@ class StreamState:
 
         Raises ``ValueError``, before changing any state, when ``feats`` does
         not have ``dim`` columns or ``groups`` or ``ids`` is not one entry per
-        row; naming the stream id of the first row with a NaN or infinite
-        feature, or with a group that is not an integer; or (when there are
-        group banks) naming the first row whose group has no bank, i.e. no
-        quota.
+        row; naming the first row whose stream id is not an integer; naming
+        the stream id of the first row with a NaN or infinite feature, or with
+        a group that is not an integer; or, when there are group banks, when
+        ``groups`` is missing or naming the first row whose group has no
+        bank, i.e. no quota. Only Algorithm 1, which has no group banks, may
+        leave ``groups`` out.
         """
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
         if feats.shape[1:] != (self.dim,):
             raise ValueError(f"feats has shape {feats.shape}, expected {self.dim} features per row")
         if groups is None:
+            if self.group_banks:
+                raise ValueError("groups is missing; every row needs a group when groups have quotas")
             groups = np.zeros(b, dtype=np.int64)
         groups = np.asarray(groups)
         if ids is None:
             ids = np.arange(self.n_seen, self.n_seen + b, dtype=np.int64)
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
         for name, a in (("groups", groups), ("ids", ids)):
             if a.shape != (b,):
                 raise ValueError(f"{name} has shape {a.shape}, expected one entry for each of {b} rows")
+        r = _first_non_integer(ids)
+        if r is not None:
+            raise ValueError(f"row {r} has stream id {float(ids[r])}, not an integer")
+        ids = ids.astype(np.int64, copy=False)
         check_finite(feats, ids)
-        if groups.dtype.kind == "f":  # int64 would truncate 0.5 to group 0
-            bad = np.flatnonzero((np.floor(groups) != groups) | np.isinf(groups))
-            if bad.size:
-                r = bad[0]
-                raise ValueError(f"stream id {int(ids[r])} has group {float(groups[r])}, not an integer")
+        r = _first_non_integer(groups)
+        if r is not None:
+            raise ValueError(f"stream id {int(ids[r])} has group {float(groups[r])}, not an integer")
         groups = groups.astype(np.int64, copy=False)
         if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
             r = np.flatnonzero(~np.isin(groups, list(self.group_banks)))[0]
@@ -275,6 +281,15 @@ def check_finite(feats: np.ndarray, ids: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
         raise ValueError(f"stream id {int(ids[bad[0]])} has a non-finite feature")
+
+
+def _first_non_integer(a: np.ndarray) -> int | None:
+    """Index of the first entry of a float array that is not an integer
+    (int64 would truncate 0.5 to 0); None for other dtypes."""
+    if a.dtype.kind != "f":
+        return None
+    bad = np.flatnonzero((np.floor(a) != a) | np.isinf(a))
+    return int(bad[0]) if bad.size else None
 
 
 def keep_mask(

@@ -300,6 +300,9 @@ def test_group_labels_free_without_group_banks():
     ((5, 2), [0.5, 1.7, 0.2, 1.0, 0.9], 5, "stream id 100 has group 0.5, not an integer"),
     ((5, 2), [0.0, 1.0, np.nan, 1.0, 0.0], 5, "stream id 102 has group nan"),
     ((5, 2), [0.0, 1.0, 1.0, -np.inf, 0.0], 5, "stream id 103 has group -inf"),
+    ((4, 2), [0, 1, 0, 1], [0.5, 1.5, 2.9, 3.2], "row 0 has stream id 0.5, not an integer"),
+    ((4, 2), [0, 1, 0, 1], [100.0, 101.0, 102.5, np.nan], "row 2 has stream id 102.5"),
+    ((4, 2), None, 4, "groups is missing"),
 ])
 def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match):
     import pickle
@@ -308,9 +311,10 @@ def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match)
     st = make_state(caps={0: 2, 1: 2})
     st.update(g.normal(size=(10, 2)), g.integers(0, 2, 10))
     before = pickle.dumps(st)
-    grp = np.array(groups) if isinstance(groups, list) else np.zeros(groups, dtype=int)
+    grp = np.zeros(groups, dtype=int) if isinstance(groups, int) else groups
+    ids = np.arange(100, 100 + ids) if isinstance(ids, int) else np.array(ids)
     with pytest.raises(ValueError, match=match):
-        st.update(g.normal(size=feats) * 9, grp, np.arange(100, 100 + ids))
+        st.update(g.normal(size=feats) * 9, grp, ids)
     assert pickle.dumps(st) == before
 
 
