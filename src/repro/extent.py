@@ -68,13 +68,11 @@ def estimate_extent(
     *,
     sample: int = 1000,
     seed: int = 0,
-    lo_factor: float = LO_FACTOR,
-    hi_factor: float = HI_FACTOR,
 ) -> tuple[float, float]:
     """Sampled extent with safety factors.
 
     ``d_min`` is the minimum nonzero sampled distance scaled *down* by
-    ``lo_factor`` and ``d_max`` the sampled max scaled *up* by ``hi_factor``,
+    ``LO_FACTOR`` and ``d_max`` the sampled max scaled *up* by ``HI_FACTOR``,
     so the guess grid almost surely brackets the true OPT. A sample of ~1000
     points (~5e5 pairs) is ample for the extremes that matter: OPT_f is
     governed by typical far-pair distances, not the single global min.
@@ -86,4 +84,4 @@ def estimate_extent(
     else:
         idx = np.random.default_rng(seed).choice(n, size=sample, replace=False)
         d_min, d_max = exact_extent(X[idx], metric)
-    return d_min * lo_factor, d_max * hi_factor
+    return d_min * LO_FACTOR, d_max * HI_FACTOR

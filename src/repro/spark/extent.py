@@ -25,8 +25,6 @@ def spark_extent(
     *,
     sample: int = 1000,
     seed: int = 0,
-    lo_factor: float = LO_FACTOR,
-    hi_factor: float = HI_FACTOR,
 ) -> tuple[float, float]:
     """(d_min, d_max) estimate from a sample of df: (id, features).
 
@@ -45,5 +43,5 @@ def spark_extent(
     order, X = _sorted_features(table)
     check_finite(X, table.column("id").to_numpy()[order])
     d_min, d_max = pair_extent(pair_blocks(X, m))
-    return d_min * lo_factor, d_max * hi_factor
+    return d_min * LO_FACTOR, d_max * HI_FACTOR
 
