@@ -169,8 +169,7 @@ class StreamState:
         the stream id of the first row with a NaN or infinite feature, or with
         a group that is not an integer; or, when there are group banks, when
         ``groups`` is missing or naming the first row whose group has no
-        bank, i.e. no quota. Only Algorithm 1, which has no group banks, may
-        leave ``groups`` out.
+        bank, i.e. no quota.
         """
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)

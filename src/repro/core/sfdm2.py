@@ -72,11 +72,9 @@ class SFDM2(StreamingDM):
 
     def _post(self, g: int) -> list[int] | None:
         """Post-process guess index g on a slice of the store's distance
-        matrix, which the state keeps across calls and extends by the rows
-        stored since (a copied or unpickled solver builds it whole on its
-        first call); returns store
-        indices or None. It reads only g's candidates' members and rows
-        that never change, which is what lets ``solve`` reuse its result."""
+        matrix; returns store indices or None. It reads only g's
+        candidates' members and rows that never change, which is what lets
+        ``solve`` reuse its result."""
         st, m, k = self.state, self.m, self.k
         mu = float(self.mus[g])
         # S_all: union of the blind and all group candidates (each element is
