@@ -45,7 +45,7 @@ def fair_flow(
     metric: str | Metric,
 ) -> tuple[np.ndarray, float]:
     """Returns (solution indices into ``feats``, diversity)."""
-    metric = get_metric(metric) if isinstance(metric, str) else metric
+    metric = get_metric(metric)
     feats = np.asarray(feats, dtype=np.float64)
     groups = np.asarray(groups)
     k = sum(ks.values())

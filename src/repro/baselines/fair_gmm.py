@@ -27,7 +27,7 @@ def fair_gmm(
     metric: str | Metric,
 ) -> tuple[np.ndarray, float]:
     """Returns (solution indices into ``feats``, diversity)."""
-    metric = get_metric(metric) if isinstance(metric, str) else metric
+    metric = get_metric(metric)
     feats = np.asarray(feats, dtype=np.float64)
     groups = np.asarray(groups)
     prefixes = group_gmm_prefixes(feats, groups, ks, metric)

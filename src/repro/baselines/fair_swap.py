@@ -24,7 +24,7 @@ def fair_swap(
     """Returns (solution indices into ``feats``, diversity)."""
     if len(ks) != 2:
         raise ValueError("FairSwap requires exactly 2 groups")
-    metric = get_metric(metric) if isinstance(metric, str) else metric
+    metric = get_metric(metric)
     feats = np.asarray(feats, dtype=np.float64)
     groups = np.asarray(groups)
     k = sum(ks.values())

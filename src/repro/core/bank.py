@@ -14,8 +14,8 @@ The update rule per element x (Algorithm 1, line 5): for each guess μ with
 ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``, add x to ``S_μ``. Acceptance is
 evaluated against the *blind* bank and the bank of x's own group only, exactly
 as in Algorithms 2/3. :meth:`StreamState.update` first drops, per chunk, the
-rows that :func:`keep_mask` shows no candidate can accept, then applies the
-rule to the rest in order.
+rows that :meth:`StreamState.keep_mask` shows no candidate can accept, then
+applies the rule to the rest in order.
 
 The state also keeps the store's distance matrix for SFDM2's post-processing
 (:meth:`StreamState.distances`). Only ``distances`` writes it, when a solve
@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..metrics import Metric
+from ..metrics import BLOCK_BYTES, Metric
 
-__all__ = ["CandidateBank", "StreamState", "check_finite", "keep_mask"]
+__all__ = ["CandidateBank", "StreamState", "check_finite"]
 
 _CHUNK = 1024  # rows per rejection step of StreamState.update
-_BLOCK_BYTES = 1 << 20  # target size of one keep_mask / distances output block
 _DIST_GROWTH = 1.25  # capacity step of the store's distance matrix
 
 
@@ -153,7 +152,7 @@ class StreamState:
 
         Two steps per internal chunk of ``_CHUNK`` rows:
 
-        1. :func:`keep_mask` rejects, in one vectorized pass, every row the
+        1. :meth:`keep_mask` rejects, in one vectorized pass, every row the
            start-of-chunk state rejects. Exactly safe: candidates only grow
            and ``d(x, S)`` only shrinks, so such a row is rejected forever.
            The kernel computes distances with :meth:`Metric.rows_to_rows`,
@@ -202,13 +201,45 @@ class StreamState:
             )
         for lo in range(0, b, _CHUNK):
             X, G = feats[lo : lo + _CHUNK], groups[lo : lo + _CHUNK]
-            kept = lo + np.flatnonzero(
-                keep_mask(self.metric, self.mus, self.feats, self._banks(), X, G)
-            )
+            kept = lo + np.flatnonzero(self.keep_mask(X, G))
             self.n_kept += kept.size
             for r in kept:
                 self._offer(feats[r], int(groups[r]), int(ids[r]))
         self.n_seen += b
+
+    def keep_mask(self, feats: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """The rejection kernel: False where no candidate of this state can accept a row.
+
+        The blind bank sees every row, a group bank only the rows of its
+        group. A row is kept when the per-element test,
+        :meth:`CandidateBank.accept_mask`, accepts it at some guess of a bank
+        it sees. Distances come from :meth:`Metric.rows_to_rows`, only to
+        stored rows in some non-full candidate (``cols``, found through the
+        lookup ``pos``), row-blocked so the distance block and its gather
+        stay near ``BLOCK_BYTES``; ``rows_to_rows`` bounds its own
+        temporaries, as its docstring says.
+        """
+        store = self.feats
+        out = np.zeros(len(feats), dtype=bool)
+        for grp, bank in self._banks():
+            rows = np.arange(len(feats)) if grp is None else np.flatnonzero(groups == grp)
+            nonfull = bank.sizes < bank.cap
+            if rows.size == 0 or not nonfull.any():
+                continue
+            width = max(1, bank.sizes[nonfull].max())
+            cols = np.unique(bank.members[nonfull, :width])
+            cols = cols[cols >= 0]
+            pos = np.full(len(store) + 1, len(cols))  # pos[-1]: D's +inf row
+            pos[cols] = np.arange(len(cols))
+            A = store[cols]
+            per_row = 8 * max(len(cols) + 1, np.count_nonzero(nonfull) * width)  # a column of D, its gather
+            step = max(1, BLOCK_BYTES // per_row)
+            for lo in range(0, rows.size, step):
+                r = rows[lo : lo + step]
+                D = np.full((len(cols) + 1, r.size), np.inf)
+                D[:-1] = self.metric.rows_to_rows(A, feats[r])
+                out[r] |= bank.accept_mask(D, self.mus, pos).any(axis=0)
+        return out
 
     def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
         """Algorithm 1, line 5 for one element, against the blind and own-group bank."""
@@ -231,8 +262,8 @@ class StreamState:
 
         The only writer of the matrix. Each call computes the rows stored
         since the previous call (all of them in a copy, which drops the
-        matrix), row-blocked so each block of rows stays near
-        ``_BLOCK_BYTES``, and mirrors each block into its columns, because
+        matrix), in the row blocks of :meth:`Metric.lower_blocks`, and
+        mirrors each block into its columns, because
         ``rows_to_rows`` is symmetric bit for bit. The buffer grows in
         ``_DIST_GROWTH`` steps rather than the store's doubling (a 2,048²
         buffer is 33 MB), since an anytime solver extends it at every solve.
@@ -243,11 +274,8 @@ class StreamState:
                 D = np.empty((max(n, 64, int(len(self._dist) * _DIST_GROWTH)),) * 2)
                 D[:lo, :lo] = self._dist[:lo, :lo]
                 self._dist = D
-            D, X = self._dist, self.feats
-            step = max(1, _BLOCK_BYTES // (8 * n))
-            for a in range(lo, n, step):
-                b = min(a + step, n)
-                R = self.metric.rows_to_rows(X[a:b], X[:b])
+            D = self._dist
+            for a, b, R in self.metric.lower_blocks(self.feats, lo):
                 D[a:b, :b] = R
                 D[:a, a:b] = R[:, :a].T
             self._n_dist = n
@@ -290,44 +318,3 @@ def _first_non_integer(a: np.ndarray) -> int | None:
     bad = np.flatnonzero((np.floor(a) != a) | np.isinf(a))
     return int(bad[0]) if bad.size else None
 
-
-def keep_mask(
-    metric: Metric,
-    mus: np.ndarray,
-    store: np.ndarray,
-    banks: list[tuple[int | None, CandidateBank]],
-    feats: np.ndarray,
-    groups: np.ndarray,
-) -> np.ndarray:
-    """The rejection kernel: False where no candidate of the state can accept a row.
-
-    ``banks`` holds ``(group, CandidateBank)`` pairs over ``store``; group
-    None (the blind bank) sees every row, any other bank only the rows of
-    its group. A row is kept when the per-element test,
-    :meth:`CandidateBank.accept_mask`, accepts it at some guess of a bank it
-    sees. Distances come from :meth:`Metric.rows_to_rows`, only to stored
-    rows in some non-full candidate (``cols``, found through the lookup
-    ``pos``), row-blocked so the distance block and its gather stay near
-    ``_BLOCK_BYTES``; ``rows_to_rows`` bounds its own temporaries, as its
-    docstring says.
-    """
-    out = np.zeros(len(feats), dtype=bool)
-    for grp, bank in banks:
-        rows = np.arange(len(feats)) if grp is None else np.flatnonzero(groups == grp)
-        nonfull = bank.sizes < bank.cap
-        if rows.size == 0 or not nonfull.any():
-            continue
-        width = max(1, bank.sizes[nonfull].max())
-        cols = np.unique(bank.members[nonfull, :width])
-        cols = cols[cols >= 0]
-        pos = np.full(len(store) + 1, len(cols))  # pos[-1]: D's +inf row
-        pos[cols] = np.arange(len(cols))
-        A = store[cols]
-        per_row = 8 * max(len(cols) + 1, np.count_nonzero(nonfull) * width)  # a column of D, its gather
-        step = max(1, _BLOCK_BYTES // per_row)
-        for lo in range(0, rows.size, step):
-            r = rows[lo : lo + step]
-            D = np.full((len(cols) + 1, r.size), np.inf)
-            D[:-1] = metric.rows_to_rows(A, feats[r])
-            out[r] |= bank.accept_mask(D, mus, pos).any(axis=0)
-    return out

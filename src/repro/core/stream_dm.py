@@ -71,7 +71,7 @@ class StreamingDM:
         """The guess grid and the state: a blind candidate of cap k and, per
         group of the quotas ``ks`` (none for Algorithm 1), one of its cap in
         ``group_caps``."""
-        self.metric = get_metric(metric) if isinstance(metric, str) else metric
+        self.metric = get_metric(metric)
         self.k, self.ks = k, ks
         self.mus = guess_grid(d_min, d_max, eps)
         self.state = StreamState(self.metric, self.mus, dim, k, group_caps=group_caps)

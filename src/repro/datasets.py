@@ -67,16 +67,9 @@ class Dataset:
         )
 
     def to_spark(self, spark):
-        from pyspark.sql import types as T
+        from .spark.streaming import STREAM_SCHEMA  # pyspark only when asked for
 
-        schema = T.StructType(
-            [
-                T.StructField("id", T.LongType(), False),
-                T.StructField("group", T.LongType(), False),
-                T.StructField("features", T.ArrayType(T.DoubleType()), False),
-            ]
-        )
-        return spark.createDataFrame(self.to_pandas(), schema=schema)
+        return spark.createDataFrame(self.to_pandas(), schema=STREAM_SCHEMA)
 
 
 def _normalize(F: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .metrics import Metric
 
-_BLOCK_BYTES = 1 << 20  # target size of one block of pair distances
 LO_FACTOR, HI_FACTOR = 0.5, 2.0  # d_min is scaled down, d_max up
 
 
@@ -42,16 +41,12 @@ def pair_extent(blocks: Iterable[np.ndarray]) -> tuple[float, float]:
 def pair_blocks(X: np.ndarray, metric: Metric) -> Iterator[np.ndarray]:
     """The distances of every unordered pair of rows of ``X``, a block of rows at a time.
 
-    Row ``lo + r`` of a block meets the rows after it, columns ``c >= r`` of
-    ``rows_to_rows(X[lo:hi], X[lo + 1:])``; each block stays near
-    ``_BLOCK_BYTES``.
+    Row ``a + r`` of a block meets the rows before it, columns ``c < a + r``
+    of :meth:`Metric.lower_blocks`' ``rows_to_rows(X[a:b], X[:b])``.
     """
-    n = len(X)
-    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
-    for lo in range(0, n - 1, step):
-        D = metric.rows_to_rows(X[lo : lo + step], X[lo + 1 :])
+    for a, _, D in metric.lower_blocks(X, 1):
         r, c = np.indices(D.shape)
-        yield D[c >= r]
+        yield D[c < a + r]
 
 
 def exact_extent(X: np.ndarray, metric: Metric) -> tuple[float, float]:

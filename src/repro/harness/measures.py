@@ -10,7 +10,7 @@ re-scanning all n elements.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from ..datasets import Dataset
 from ..diversity import div
 from ..extent import estimate_extent
 
-STREAMING_ALGOS = ("SFDM1", "SFDM2")
-OFFLINE_ALGOS = ("GMM", "FairSwap", "FairFlow", "FairGMM")
-
 
 @dataclass
 class Measure:
@@ -37,7 +34,6 @@ class Measure:
     stream_s: float = float("nan")   # streaming algos: one-pass total
     update_us: float = float("nan")  # streaming algos: avg per-element update
     n_elem: float = float("nan")     # streaming algos: stored elements
-    extra: dict = field(default_factory=dict)
 
 
 def run_algo(
@@ -60,17 +56,11 @@ def run_algo(
         idx = gmm(feats, k, metric)
         d = div(feats[idx], metric)
         return Measure(algo, d, time.perf_counter() - t0)
-    if algo == "FairSwap":
+    # built per call, so a module attribute replaced after import is the one called
+    fair = {"FairSwap": fair_swap, "FairFlow": fair_flow, "FairGMM": fair_gmm}.get(algo)
+    if fair is not None:
         t0 = time.perf_counter()
-        _, d = fair_swap(feats, groups, ks, metric)
-        return Measure(algo, d, time.perf_counter() - t0)
-    if algo == "FairFlow":
-        t0 = time.perf_counter()
-        _, d = fair_flow(feats, groups, ks, metric)
-        return Measure(algo, d, time.perf_counter() - t0)
-    if algo == "FairGMM":
-        t0 = time.perf_counter()
-        _, d = fair_gmm(feats, groups, ks, metric)
+        _, d = fair(feats, groups, ks, metric)
         return Measure(algo, d, time.perf_counter() - t0)
     if algo in ("SFDM1", "SFDM2"):
         if extent is None:

@@ -7,13 +7,16 @@ vectorized forms:
 * ``rows_to_rows(X, A)`` -> (|X| x |A|) distances, the one arithmetic,
 * ``pairwise(A, B)`` -> the same matrix, under the name its callers use,
 * ``point_to_rows(x, A)`` -> (|A|,) distances from one point,
+* ``lower_blocks(X)`` -> ``rows_to_rows(X, X)``'s lower triangle in row blocks,
 
 over float64 numpy arrays with points as rows. Every distance the package
 computes is a ``rows_to_rows`` double, so a pair has the same distance
 wherever it is measured.
 
-``rows_to_rows`` sums each pair's per-feature terms in the order numpy's
-``.sum(-1)`` sums a contiguous row (:func:`_pairwise_sum`). Small outputs
+Each metric's formula is written once: its per-feature term
+(``Metric._terms``) and the step that turns a pair's sum of terms into its
+distance (``Metric._finish``). ``rows_to_rows`` sums the terms in the order
+numpy's ``.sum(-1)`` sums a contiguous row (:func:`_pairwise_sum`). Small outputs
 and single rows use that reduction itself, over a ``(|X|, |A|, dim)``
 temporary. From ``_PLANE_CELLS`` output cells of more than one row on, the
 plane kernel takes over: it holds ``A`` feature-major
@@ -26,16 +29,17 @@ each numpy call runs over a whole plane instead of reducing a row only
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
 
 import numpy as np
 
 __all__ = ["Metric", "get_metric", "METRICS"]
 
-_BLOCK_BYTES = 1 << 20  # target size of the plane kernel's scratch buffers
+BLOCK_BYTES = 1 << 20  # target size of a block of distances, and of the planes' scratch
 _PLANE_CELLS = 4096  # rows_to_rows outputs of 2+ rows from this many cells use the planes
 _UNROLL = 8  # numpy's pairwise sum: 8 accumulators ...
 _PW_BLOCK = 128  # ... over at most 128 terms, else split in two
-_CELLS = _BLOCK_BYTES // (8 * 2 * _UNROLL)  # output cells per block: two 8-plane buffers
+_CELLS = BLOCK_BYTES // (8 * 2 * _UNROLL)  # output cells per block: two 8-plane buffers
 _scratch = threading.local()  # per thread, the planes' buffers, reused across calls
 
 
@@ -65,7 +69,7 @@ class Metric:
         the stream phase, the store matrix and the extent scan rely on both
         (see DESIGN.md §3). Outputs of more than one row and at least
         ``_PLANE_CELLS`` cells go through the plane kernel, whose buffers
-        stay near ``_BLOCK_BYTES``. The others build a
+        stay near ``BLOCK_BYTES``. The others build a
         ``|X| x |A| x dim`` temporary: under ``_PLANE_CELLS * dim`` doubles
         for more than one row, ``|A| * dim`` for one.
         """
@@ -74,17 +78,8 @@ class Metric:
         _check_features(X, A.shape[1])
         if len(X) > 1 and len(X) * len(A) >= _PLANE_CELLS:
             return self.rows_to_feature_major(X, self.feature_major(A))
-        if self.name in ("euclidean", "manhattan"):
-            diff = A[None, :, :] - X[:, None, :]
-            if self.name == "manhattan":
-                return np.abs(diff, out=diff).sum(-1)
-            return np.sqrt(np.square(diff, out=diff).sum(-1))
-        nx = np.sqrt((X * X).sum(-1))
-        na = np.sqrt((A * A).sum(-1))
-        prod = na[None, :] * nx[:, None]
-        denom = np.where(prod == 0, 1.0, prod)
-        cos = (A[None, :, :] * X[:, None, :]).sum(-1) / denom
-        return np.arccos(np.clip(cos, -1.0, 1.0))
+        S = self._terms(A[None, :, :], X[:, None, :]).sum(-1)
+        return self._finish(S, X, self._norms(A))
 
     def feature_major(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """``A`` laid out for :meth:`rows_to_feature_major`: its ``(dim, |A|)``
@@ -93,8 +88,7 @@ class Metric:
         Build it once to measure many points against the same rows.
         """
         A = np.ascontiguousarray(A, dtype=np.float64)
-        na = np.sqrt((A * A).sum(-1)) if self.name == "angular" else None
-        return np.ascontiguousarray(A.T), na
+        return np.ascontiguousarray(A.T), self._norms(A)
 
     def rows_to_feature_major(
         self, X: np.ndarray, fm: tuple[np.ndarray, np.ndarray | None]
@@ -104,7 +98,7 @@ class Metric:
 
         Per block of output cells, the planes of ``dim`` features are summed
         by :func:`_pairwise_sum` in ``(8, rows, cols)`` scratch buffers of
-        about ``_BLOCK_BYTES`` in all; a block spans whole rows of the output
+        about ``BLOCK_BYTES`` in all; a block spans whole rows of the output
         or, when ``|A|`` alone fills a block, part of one row.
         """
         AT, na = fm
@@ -116,7 +110,6 @@ class Metric:
         w = max(1, min(n_a, _CELLS))
         h = max(1, _CELLS // w)
         acc_buf, tmp_buf = _buffers()
-        op = {"euclidean": np.square, "manhattan": np.abs}.get(self.name)
         for r0 in range(0, len(X), h):
             for c0 in range(0, n_a, w):
                 o = out[r0 : r0 + h, c0 : c0 + w]
@@ -127,24 +120,48 @@ class Metric:
                 a_blk, x_blk = AT[:, None, c0 : c0 + w], XT[:, r0 : r0 + h, None]
 
                 def planes(lo: int, hi: int, dst: np.ndarray) -> None:
-                    # the per-feature terms a - x squared or made absolute,
-                    # or a * x, for features lo..hi-1
-                    d = dst[: hi - lo]
-                    if op is None:
-                        np.multiply(a_blk[lo:hi], x_blk[lo:hi], out=d)
-                    else:
-                        np.subtract(a_blk[lo:hi], x_blk[lo:hi], out=d)
-                        op(d, out=d)
+                    self._terms(a_blk[lo:hi], x_blk[lo:hi], dst[: hi - lo])
 
                 _pairwise_sum(planes, 0, dim, o, acc, tmp)
+        return self._finish(out, X, na)
+
+    def lower_blocks(self, X: np.ndarray, lo: int = 0) -> Iterator[tuple[int, int, np.ndarray]]:
+        """``(a, b, rows_to_rows(X[a:b], X[:b]))`` for row blocks ``a:b`` from
+        row ``lo`` to the end of ``X``: the lower triangle of
+        ``rows_to_rows(X, X)`` and its diagonal, a block of rows at a time,
+        each block near ``BLOCK_BYTES``."""
+        n = len(X)
+        step = max(1, BLOCK_BYTES // (8 * max(1, n)))
+        for a in range(lo, n, step):
+            b = min(a + step, n)
+            yield a, b, self.rows_to_rows(X[a:b], X[:b])
+
+    # -- the one formula per metric: terms, summed by _pairwise_sum, finished --
+    def _terms(self, a: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The per-feature terms of each pair, broadcast: ``(a-x)²``, ``|a-x|``
+        or ``a·x``, into ``out`` if given."""
+        if self.name == "angular":
+            return np.multiply(a, x, out=out)
+        d = np.subtract(a, x, out=out)
+        return (np.square if self.name == "euclidean" else np.abs)(d, out=d)
+
+    def _norms(self, A: np.ndarray) -> np.ndarray | None:
+        """The row norms of ``A`` for angular's denominator; None for the others."""
+        return np.sqrt((A * A).sum(-1)) if self.name == "angular" else None
+
+    def _finish(self, S: np.ndarray, X: np.ndarray, na: np.ndarray | None) -> np.ndarray:
+        """The distances from ``S``, the sums of the terms of ``X``'s rows
+        against rows of norms ``na``, in place: the square root for
+        Euclidean, nothing for Manhattan; for angular, the cosine over the
+        norm product (1 where that is 0), clipped, then its arccos."""
         if self.name == "euclidean":
-            return np.sqrt(out, out=out)
+            return np.sqrt(S, out=S)
         if self.name == "manhattan":
-            return out
-        prod = na[None, :] * np.sqrt((X * X).sum(-1))[:, None]
+            return S
+        prod = na[None, :] * self._norms(X)[:, None]
         prod[prod == 0] = 1.0
-        np.divide(out, prod, out=out)
-        return np.arccos(np.clip(out, -1.0, 1.0, out=out), out=out)
+        np.divide(S, prod, out=S)
+        return np.arccos(np.clip(S, -1.0, 1.0, out=S), out=S)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Metric({self.name!r})"
@@ -223,6 +240,7 @@ def _pairwise_sum(planes, lo: int, n: int, out: np.ndarray, acc: np.ndarray, tmp
 METRICS = ("euclidean", "manhattan", "angular")
 
 
-def get_metric(name: str) -> Metric:
-    """Look up a metric by name (``euclidean``/``manhattan``/``angular``)."""
-    return Metric(name)
+def get_metric(metric: str | Metric) -> Metric:
+    """Look up a metric by name (``euclidean``/``manhattan``/``angular``);
+    a :class:`Metric` is returned as it is."""
+    return metric if isinstance(metric, Metric) else Metric(metric)

@@ -5,8 +5,9 @@ micro-batches (``maxFilesPerTrigger=1`` + ``Trigger.AvailableNow``) and, in
 ``foreachBatch``, collects each micro-batch to the driver as one Arrow table
 and applies its rows, in stream-id order, to the driver-held
 :class:`~repro.core.bank.StreamState`. ``StreamState.update`` rejects each
-chunk with the exactly-safe :func:`~repro.core.bank.keep_mask` kernel before
-its per-element test, so the driver's kernel is the prefilter (DESIGN.md §3).
+chunk with the exactly-safe :meth:`~repro.core.bank.StreamState.keep_mask`
+kernel before its per-element test, so the driver's kernel is the prefilter
+(DESIGN.md §3).
 
 The final state equals a sequential run over the rows in the order the
 micro-batches were processed. After the stream drains, the paper's

@@ -6,10 +6,10 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core.bank import StreamState, keep_mask
+from repro.core.bank import StreamState
 from repro.extent import exact_extent
 from repro.guesses import guess_grid
-from repro.metrics import METRICS, get_metric
+from repro.metrics import METRICS, Metric, get_metric
 
 MET = get_metric("euclidean")
 
@@ -178,7 +178,7 @@ def test_empty_guess_grid_rejected():
 def kept_by_copy(st, feats, groups):
     """``keep_mask`` over a deep copy of ``st``, as of this call."""
     c = copy.deepcopy(st)
-    return keep_mask(c.metric, c.mus, c.feats, c._banks(), feats, groups)
+    return c.keep_mask(feats, groups)
 
 
 def _full_state_and_batch(seed=3, n_pre=150, n_batch=80):
@@ -241,7 +241,7 @@ def test_prefilter_keeps_exact_ties():
 
 def test_kernel_over_a_deep_copy_is_the_kernel_over_the_live_state():
     st, Xb, gb = _full_state_and_batch()
-    want = keep_mask(st.metric, st.mus, st.feats, st._banks(), Xb, gb)
+    want = st.keep_mask(Xb, gb)
     assert np.array_equal(kept_by_copy(st, Xb, gb), want)
 
 
@@ -393,12 +393,19 @@ def test_table2_configs_match_oracle(dataset, grouping, eps):
 
 # -- the store's distance matrix ----------------------------------------------
 
-@pytest.mark.parametrize("caps", ["sfdm1", "sfdm2"])
-@pytest.mark.parametrize("metric", METRICS)
-def test_distances_equal_rows_to_rows_across_rounds(metric, caps):
-    # Rounds of update + distances(): each call extends the matrix by the
-    # rows stored since the previous one; the round at 30 adds no rows. The
-    # store crosses several capacity steps of the matrix.
+def _distances_across_rounds(metric, caps, min_blocks=1):
+    """Rounds of update + distances(): each call extends the matrix by the
+    rows stored since the previous one, in at least ``min_blocks`` row
+    blocks; the round at 30 adds no rows. The store crosses several
+    capacity steps of the matrix."""
+    n_blocks = []
+    real = Metric.lower_blocks
+
+    def lower_blocks(self, X, lo=0):
+        out = list(real(self, X, lo))
+        n_blocks.append(len(out))
+        return iter(out)
+
     g = np.random.default_rng(METRICS.index(metric))
     X, G = g.uniform(0.1, 1, size=(3000, 6)), g.integers(0, 3, 3000)
     met = get_metric(metric)
@@ -407,12 +414,35 @@ def test_distances_equal_rows_to_rows_across_rounds(metric, caps):
     group_caps = ks if caps == "sfdm1" else {grp: k for grp in ks}
     st = StreamState(met, guess_grid(*exact_extent(X[:300], met), 0.1), 6, k, group_caps)
     buffers = set()
-    for lo, hi in [(0, 30), (30, 30), (30, 400), (400, 1200), (1200, 3000)]:
-        n_before = st.n_stored
-        st.update(X[lo:hi], G[lo:hi])
-        assert hi > lo or st.n_stored == n_before
-        D = st.distances()
-        assert np.array_equal(D, met.rows_to_rows(st.feats, st.feats))
-        assert np.array_equal(st.distances(), D)
-        buffers.add(len(st._dist))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Metric, "lower_blocks", lower_blocks)
+        for lo, hi in [(0, 30), (30, 30), (30, 400), (400, 1200), (1200, 3000)]:
+            n_before = st.n_stored
+            st.update(X[lo:hi], G[lo:hi])
+            assert hi > lo or st.n_stored == n_before
+            n_blocks.clear()
+            D = st.distances()
+            if st.n_stored > n_before:
+                assert n_blocks[0] >= min_blocks
+            assert np.array_equal(D, met.rows_to_rows(st.feats, st.feats))
+            assert np.array_equal(st.distances(), D)
+            buffers.add(len(st._dist))
     assert len(buffers) >= 3 and st.n_stored > 64
+
+
+@pytest.mark.parametrize("caps", ["sfdm1", "sfdm2"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_distances_equal_rows_to_rows_across_rounds(metric, caps):
+    _distances_across_rounds(metric, caps)
+
+
+@pytest.mark.parametrize("caps", ["sfdm1", "sfdm2"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_distances_equal_rows_to_rows_across_row_blocks(metric, caps, monkeypatch):
+    # A budget of 3 rows of 32 distances (one row once the store passes 32):
+    # each call that adds rows writes 3 or more row blocks and mirrors every
+    # block after the first into the columns above it.
+    import repro.metrics
+
+    monkeypatch.setattr(repro.metrics, "BLOCK_BYTES", 8 * 32 * 3)
+    _distances_across_rounds(metric, caps, min_blocks=3)

@@ -32,13 +32,15 @@ def test_exact_extent_single_point_raises():
 
 
 def test_exact_extent_blocked_matches_direct(monkeypatch):
-    # a budget of 7 rows of 50 distances spreads the pair scan over 7 blocks
+    # a budget of 7 rows of 50 distances spreads the pair scan of rows 1-49
+    # against the rows before them over 7 blocks
     import repro.extent as ext
+    import repro.metrics
 
     g = np.random.default_rng(0)
     X = g.normal(size=(50, 3))
-    D = MET.rows_to_rows(X, X)[np.triu_indices(len(X), k=1)]
-    monkeypatch.setattr(ext, "_BLOCK_BYTES", 8 * len(X) * 7)
+    D = MET.rows_to_rows(X, X)[np.tril_indices(len(X), k=-1)]
+    monkeypatch.setattr(repro.metrics, "BLOCK_BYTES", 8 * len(X) * 7)
     blocks = list(ext.pair_blocks(X, MET))
     assert len(blocks) == 7
     assert np.array_equal(np.concatenate(blocks), D)

@@ -18,7 +18,9 @@ POSVEC = st.lists(
 
 @pytest.mark.parametrize("name", METRICS)
 def test_known_metric_lookup(name):
-    assert get_metric(name).name == name
+    m = get_metric(name)
+    assert m.name == name
+    assert get_metric(m) is m
 
 
 def test_unknown_metric_rejected():
@@ -175,6 +177,15 @@ def test_angular_zero_vector_guard():
     m = get_metric("angular")
     D = m.pairwise(np.zeros((1, 3)), np.ones((1, 3)))
     assert np.isfinite(D).all()
+    # 70 x 70 goes through the plane kernel, with zero rows in both X and A:
+    # the guard is the one the row-major path runs
+    g = np.random.default_rng(9)
+    X, A = g.normal(size=(70, 12)), g.normal(size=(70, 12))
+    X[[0, 33, 69]] = 0.0
+    A[[5, 33]] = 0.0
+    want = _row_major("angular", X, A)
+    for got in (m.rows_to_rows(X, A), m.rows_to_feature_major(X, m.feature_major(A))):
+        assert np.isfinite(got).all() and np.array_equal(got, want)
 
 
 def test_euclidean_clip_no_nan_on_near_duplicates():
@@ -185,14 +196,14 @@ def test_euclidean_clip_no_nan_on_near_duplicates():
 
 @pytest.mark.parametrize("rows_per_block", [1, 7, 52])
 def test_blocked_manhattan_pairwise_is_the_unblocked_expression(rows_per_block):
-    # B sized so that a (rows_per_block, |B|, dim) temporary is _BLOCK_BYTES,
+    # B sized so that a (rows_per_block, |B|, dim) temporary is BLOCK_BYTES,
     # the row-blocking pairwise once had; the outputs fall on both sides of
     # the plane kernel's threshold.
-    from repro.metrics import _BLOCK_BYTES
+    from repro.metrics import BLOCK_BYTES
 
     g = np.random.default_rng(rows_per_block)
     dim = 25
-    B = g.normal(size=(_BLOCK_BYTES // (8 * dim * rows_per_block), dim)) * 3
+    B = g.normal(size=(BLOCK_BYTES // (8 * dim * rows_per_block), dim)) * 3
     met = get_metric("manhattan")
     for n in (0, 1, rows_per_block - 1, rows_per_block, 2 * rows_per_block + 1):
         A = g.normal(size=(n, dim)) * 3
