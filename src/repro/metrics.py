@@ -7,7 +7,8 @@ vectorized forms:
 * ``rows_to_rows(X, A)`` -> (|X| x |A|) distances, the one arithmetic,
 * ``pairwise(A, B)`` -> the same matrix, under the name its callers use,
 * ``point_to_rows(x, A)`` -> (|A|,) distances from one point,
-* ``lower_blocks(X)`` -> ``rows_to_rows(X, X)``'s lower triangle in row blocks,
+* ``lower_blocks(X, lo)`` -> ``rows_to_rows(X, X)``'s lower triangle from row
+  ``lo`` on, in row blocks,
 
 over float64 numpy arrays with points as rows. Every distance the package
 computes is a ``rows_to_rows`` double, so a pair has the same distance
@@ -16,10 +17,10 @@ wherever it is measured.
 Each metric's formula is written once: its per-feature term
 (``Metric._terms``) and the step that turns a pair's sum of terms into its
 distance (``Metric._finish``). ``rows_to_rows`` sums the terms in the order
-numpy's ``.sum(-1)`` sums a contiguous row (:func:`_pairwise_sum`). Small outputs
-and single rows use that reduction itself, over a ``(|X|, |A|, dim)``
-temporary. From ``_PLANE_CELLS`` output cells of more than one row on, the
-plane kernel takes over: it holds ``A`` feature-major
+numpy's ``.sum(-1)`` sums a contiguous row (:func:`_pairwise_sum`). Small
+outputs and single rows use that reduction itself, over a
+``(|X|, |A|, dim)`` temporary. From ``_PLANE_CELLS`` output cells of more
+than one row on, the plane kernel takes over: it holds ``A`` feature-major
 (:meth:`Metric.feature_major`), computes one ``(|X|, |A|)`` plane per
 feature into preallocated buffers and adds the planes in that same order,
 so every entry is the same double either way. It is faster there because
@@ -125,7 +126,7 @@ class Metric:
                 _pairwise_sum(planes, 0, dim, o, acc, tmp)
         return self._finish(out, X, na)
 
-    def lower_blocks(self, X: np.ndarray, lo: int = 0) -> Iterator[tuple[int, int, np.ndarray]]:
+    def lower_blocks(self, X: np.ndarray, lo: int) -> Iterator[tuple[int, int, np.ndarray]]:
         """``(a, b, rows_to_rows(X[a:b], X[:b]))`` for row blocks ``a:b`` from
         row ``lo`` to the end of ``X``: the lower triangle of
         ``rows_to_rows(X, X)`` and its diagonal, a block of rows at a time,

@@ -401,7 +401,7 @@ def _distances_across_rounds(metric, caps, min_blocks=1):
     n_blocks = []
     real = Metric.lower_blocks
 
-    def lower_blocks(self, X, lo=0):
+    def lower_blocks(self, X, lo):
         out = list(real(self, X, lo))
         n_blocks.append(len(out))
         return iter(out)
