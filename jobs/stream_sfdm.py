@@ -1,10 +1,10 @@
 """spark-submit entrypoint: the Structured Streaming FDM job end-to-end.
 
 Generates a dataset stand-in, materializes it as a parquet file-stream,
-estimates the extent from one sample collected to the driver, then runs
-SFDM1/SFDM2 as a ``foreachBatch`` streaming job that collects each
-micro-batch to the driver and applies it there (DESIGN.md §3), and prints the
-fair solution.
+estimates the extent from one sample of that parquet input collected to the
+driver, then runs SFDM1/SFDM2 as a ``foreachBatch`` streaming job that
+collects each micro-batch to the driver and applies it there (DESIGN.md §3),
+and prints the fair solution.
 
 Usage: spark-submit jobs/stream_sfdm.py [--dataset adult] [--grouping sex]
            [--algo sfdm2] [--k 20] [--eps 0.1] [--n 20000] [--batches 8]
@@ -16,7 +16,7 @@ from pyspark.sql import SparkSession
 
 from repro.datasets import adult_like, blobs, celeba_like, census_like, equal_quotas, lyrics_like
 from repro.spark.extent import spark_extent
-from repro.spark.streaming import run_streaming_fdm, write_stream_input
+from repro.spark.streaming import STREAM_SCHEMA, run_streaming_fdm, write_stream_input
 
 BUILDERS = {
     "adult": lambda n, grouping: adult_like(n, grouping),
@@ -33,7 +33,8 @@ def main(spark: SparkSession, args) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         inp, ckpt = f"{tmp}/input", f"{tmp}/ckpt"
         write_stream_input(ds, inp, n_files=args.batches)
-        d_min, d_max = spark_extent(ds.to_spark(spark), ds.metric_name)
+        source = spark.read.schema(STREAM_SCHEMA).parquet(inp)
+        d_min, d_max = spark_extent(source, ds.metric_name)
         result, stats = run_streaming_fdm(
             spark, inp,
             algo=args.algo, metric=ds.metric_name, ks=ks, eps=args.eps,

@@ -12,12 +12,18 @@ kernel before its per-element test, so the driver's kernel is the prefilter
 The final state equals a sequential run over the rows in the order the
 micro-batches were processed. After the stream drains, the paper's
 post-processing runs on the driver over the bounded store only.
+
+A checkpoint on the local filesystem is written through Spark's
+FileSystem-based checkpoint manager for the query's whole lifetime
+(DESIGN.md §3).
 """
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 import numpy as np
 from pyspark.errors import StreamingQueryException
@@ -35,6 +41,51 @@ STREAM_SCHEMA = T.StructType(
         T.StructField("features", T.ArrayType(T.DoubleType()), False),
     ]
 )
+
+
+# Spark's own setting for the class that writes a query's checkpoint logs, and
+# the class this job names there for a local checkpoint: its temp file plus
+# rename is atomic on a local disk, and Hadoop starts a fifth as many shell
+# commands (`readlink`, `chmod`) under it as under Spark's default (DESIGN.md §3).
+CHECKPOINT_MANAGER_KEY = "spark.sql.streaming.checkpointFileManagerClass"
+LOCAL_CHECKPOINT_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedCheckpointFileManager"
+)
+
+
+def is_local_path(path: str, default_fs: str | None) -> bool:
+    """Whether Hadoop resolves ``path`` to the local filesystem.
+
+    A path with a scheme is local when the scheme is ``file``; a path without
+    one resolves against ``default_fs``, Hadoop's ``fs.defaultFS`` (``None``:
+    Hadoop's default, ``file:///``). Decided from the strings alone; no
+    filesystem is opened.
+    """
+    scheme = urlsplit(path).scheme or urlsplit(default_fs or "file:///").scheme
+    return scheme == "file"
+
+
+@contextmanager
+def _checkpoint_manager(spark: SparkSession, checkpoint_dir: str):
+    """Name :data:`LOCAL_CHECKPOINT_MANAGER` in the session while the block runs,
+    when ``checkpoint_dir`` is local and the session names no manager itself.
+
+    Spark reads the setting each time it opens a checkpoint log, and it opens
+    the file source's log on the stream thread, after ``start()`` returned,
+    so the block must span the query until it terminates. On exit the
+    setting is unset again, also when the block raises.
+    """
+    default_fs = spark._jsparkSession.sessionState().newHadoopConf().get("fs.defaultFS")
+    held = spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None and is_local_path(
+        checkpoint_dir, default_fs
+    )
+    if held:
+        spark.conf.set(CHECKPOINT_MANAGER_KEY, LOCAL_CHECKPOINT_MANAGER)
+    try:
+        yield
+    finally:
+        if held:
+            spark.conf.unset(CHECKPOINT_MANAGER_KEY)
 
 
 def write_stream_input(dataset: Dataset, path: str, *, n_files: int = 8) -> None:
@@ -127,7 +178,10 @@ def run_streaming_fdm(
 
     A micro-batch that fails (a bad row, say) stops the query, and the
     Python exception it raised is re-raised here in place of Spark's
-    ``StreamingQueryException`` wrapper.
+    ``StreamingQueryException`` wrapper. A checkpoint on the local
+    filesystem is written through :data:`LOCAL_CHECKPOINT_MANAGER` unless the
+    session already sets :data:`CHECKPOINT_MANAGER_KEY`; the session's
+    setting is as it was when this returns or raises.
     """
     solver = make_algo(algo, metric, ks=ks, eps=eps, d_min=d_min, d_max=d_max, dim=dim)
     stats = StreamRunStats()
@@ -149,16 +203,17 @@ def run_streaming_fdm(
         .option("maxFilesPerTrigger", 1)
         .parquet(input_path)
     )
-    query = (
-        stream.writeStream.foreachBatch(process_batch)
-        .option("checkpointLocation", checkpoint_dir)
-        .trigger(availableNow=True)
-        .start()
-    )
-    try:
-        query.awaitTermination()
-    except StreamingQueryException:
-        if failed:
-            raise failed[0]
-        raise
+    with _checkpoint_manager(spark, checkpoint_dir):
+        query = (
+            stream.writeStream.foreachBatch(process_batch)
+            .option("checkpointLocation", checkpoint_dir)
+            .trigger(availableNow=True)
+            .start()
+        )
+        try:
+            query.awaitTermination()
+        except StreamingQueryException:
+            if failed:
+                raise failed[0]
+            raise
     return solver.solve(), stats

@@ -1,6 +1,7 @@
 """Structured Streaming FDM job: end-to-end correctness of the foreachBatch
 runner, which collects each micro-batch to the driver and applies it there,
-and its rejection of bad rows at the batch boundary."""
+its rejection of bad rows at the batch boundary, and the checkpoint manager
+it holds in the session while a query on a local checkpoint runs."""
 import os
 
 import numpy as np
@@ -12,7 +13,18 @@ from repro._stream_common import make_algo
 from repro.datasets import blobs
 from repro.diversity import brute_fair_opt
 from repro.extent import exact_extent
-from repro.spark.streaming import run_streaming_fdm, write_stream_input
+from repro.spark import streaming
+from repro.spark.streaming import (
+    CHECKPOINT_MANAGER_KEY,
+    LOCAL_CHECKPOINT_MANAGER,
+    is_local_path,
+    run_streaming_fdm,
+    write_stream_input,
+)
+
+FILE_CONTEXT_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager"
+)
 
 
 def run_blobs(spark, tmp_path, ds, lo, hi, *, algo="sfdm2", ks=None, eps=0.2, n_files=8):
@@ -141,3 +153,92 @@ def test_streaming_rejects_ragged_row_with_its_id(spark, tmp_path):
             eps=0.2, d_min=lo, d_max=hi, dim=ds.dim,
             checkpoint_dir=str(tmp_path / "ckpt"),
         )
+
+
+@pytest.mark.parametrize(
+    "path, default_fs, local",
+    [
+        ("/tmp/ckpt", "file:///", True),
+        ("/tmp/ckpt", None, True),
+        ("relative/ckpt", "file:///", True),
+        ("file:///tmp/ckpt", "file:///", True),
+        ("file:/tmp/ckpt", "hdfs://nn:8020", True),
+        ("hdfs://nn/ckpt", "file:///", False),
+        ("s3a://bucket/ckpt", "file:///", False),
+        ("/tmp/ckpt", "hdfs://nn:8020", False),
+    ],
+)
+def test_checkpoint_locality_from_path_and_default_fs(path, default_fs, local):
+    assert is_local_path(path, default_fs) is local
+
+
+def test_checkpoint_manager_follows_the_session_default_fs(spark):
+    # only the session's Hadoop conf is read; no filesystem is opened
+    assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None
+    spark.conf.set("fs.defaultFS", "hdfs://nn:8020")
+    try:
+        with streaming._checkpoint_manager(spark, "/tmp/ckpt"):
+            assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None
+        with streaming._checkpoint_manager(spark, "file:///tmp/ckpt"):
+            assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) == LOCAL_CHECKPOINT_MANAGER
+    finally:
+        spark.conf.unset("fs.defaultFS")
+    assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None
+
+
+def manager_per_batch(spark, monkeypatch) -> list:
+    """Make every solver the job builds record the session's checkpoint
+    manager setting at each micro-batch; returns the list it appends to."""
+    seen = []
+    real = streaming.make_algo
+
+    def make(*args, **kw):
+        solver = real(*args, **kw)
+        update = solver.update
+
+        def recording(*a, **k):
+            seen.append(spark.conf.get(CHECKPOINT_MANAGER_KEY, None))
+            return update(*a, **k)
+
+        solver.update = recording
+        return solver
+
+    monkeypatch.setattr(streaming, "make_algo", make)
+    return seen
+
+
+def test_local_checkpoint_manager_held_for_every_batch_then_unset(spark, tmp_path, monkeypatch):
+    # Spark opens the file source's log on the stream thread after start()
+    # returned, so the setting must last until the query terminates
+    assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None
+    seen = manager_per_batch(spark, monkeypatch)
+    ds = blobs(800, 2, seed=6)
+    lo, hi = exact_extent(ds.feats, ds.metric)
+    _, stats = run_blobs(spark, tmp_path, ds, lo, hi)
+    assert stats.n_batches == 8
+    assert seen == [LOCAL_CHECKPOINT_MANAGER] * 8
+    assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None
+
+
+def test_caller_checkpoint_manager_kept(spark, tmp_path, monkeypatch):
+    seen = manager_per_batch(spark, monkeypatch)
+    ds = blobs(800, 2, seed=6)
+    lo, hi = exact_extent(ds.feats, ds.metric)
+    spark.conf.set(CHECKPOINT_MANAGER_KEY, FILE_CONTEXT_MANAGER)
+    try:
+        _, stats = run_blobs(spark, tmp_path, ds, lo, hi)
+        assert seen == [FILE_CONTEXT_MANAGER] * stats.n_batches
+        assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) == FILE_CONTEXT_MANAGER
+    finally:
+        spark.conf.unset(CHECKPOINT_MANAGER_KEY)
+
+
+def test_checkpoint_manager_unset_after_a_failed_batch(spark, tmp_path, monkeypatch):
+    seen = manager_per_batch(spark, monkeypatch)
+    ds = blobs(800, 2, seed=6)
+    lo, hi = exact_extent(ds.feats, ds.metric)
+    ds.feats[700, 0] = np.nan
+    with pytest.raises(ValueError, match="stream id 700 "):
+        run_blobs(spark, tmp_path, ds, lo, hi)
+    assert seen == [LOCAL_CHECKPOINT_MANAGER] * 8  # the 8th batch raised
+    assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None
