@@ -12,7 +12,8 @@ distance matrix is completed before the clock starts, because a solver reuses
 each guess's result while its candidates are unchanged. ``post_rebuild``
 times the first solve of a copy as it is, which rebuilds the store's distance
 matrix that copies leave out. ``anytime_solves`` feeds Census m = 14 in ten
-chunks with a solve after each, where that reuse applies.
+chunks with a solve after each, where that reuse applies. ``keep_mask_m14``
+times the rejection kernel alone on a warm Census m = 14 state.
 """
 import copy
 
@@ -122,3 +123,24 @@ def test_anytime_solves(benchmark, algo, m):
 
     res = benchmark.pedantic(anytime, rounds=1, iterations=1)
     assert np.unique(res.groups, return_counts=True)[1].sum() == K
+
+
+def test_keep_mask_m14(benchmark):
+    # The rejection kernel over 500-row chunks of Census m = 14, on a deep
+    # copy (made in the untimed setup) of an SFDM2 state fed 25,000 rows:
+    # its 15 banks' per-call cost, which the update's timing mixes with the
+    # per-element test.
+    ds = census_like(30_000, "sex+age")
+    ks = equal_quotas(K, ds.groups)
+    d_min, d_max = estimate_extent(ds.feats, ds.metric)
+    s = make_algo("sfdm2", ds.metric_name, ks=ks, eps=0.1, d_min=d_min, d_max=d_max, dim=ds.dim)
+    s.update(ds.feats[:25_000], ds.groups[:25_000])
+    chunks = [(ds.feats[lo : lo + 500], ds.groups[lo : lo + 500]) for lo in range(25_000, 30_000, 500)]
+
+    def kernel(st):
+        return sum(int(st.keep_mask(x, g).sum()) for x, g in chunks)
+
+    kept = benchmark.pedantic(
+        kernel, setup=lambda: ((copy.deepcopy(s.state),), {}), rounds=10, iterations=1
+    )
+    assert 0 < kept < 5_000

@@ -24,14 +24,30 @@ candidates, and the matrix's cost falls in post-processing, as in the paper.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..metrics import BLOCK_BYTES, Metric
 
-__all__ = ["CandidateBank", "StreamState", "check_finite"]
+__all__ = ["CandidateBank", "KernelView", "StreamState", "check_finite"]
 
 _CHUNK = 1024  # rows per rejection step of StreamState.update
 _DIST_GROWTH = 1.25  # capacity step of the store's distance matrix
+
+
+class KernelView(NamedTuple):
+    """A bank's non-full candidates as the rejection kernel reads them.
+
+    ``nonfull`` are the guesses with ``|S_μ| < cap``; ``cols`` the sorted
+    store indices of their members; ``idx[i]`` the member list of guess
+    ``nonfull[i]``, cut to the longest one, as positions in ``cols``, with
+    the ``-1`` padding mapped to ``len(cols)``, the ``+inf`` row.
+    """
+
+    nonfull: np.ndarray
+    cols: np.ndarray
+    idx: np.ndarray
 
 
 class CandidateBank:
@@ -48,6 +64,7 @@ class CandidateBank:
         self.cap = cap
         self.members = np.full((n_guesses, cap), -1, dtype=np.int64)
         self.sizes = np.zeros(n_guesses, dtype=np.int64)
+        self._view: tuple[bytes, KernelView] | None = None  # (sizes.tobytes(), view)
 
     def add(self, acc: np.ndarray, j: int) -> None:
         """Append store index ``j`` to the candidates of the guesses ``acc`` marks."""
@@ -58,22 +75,42 @@ class CandidateBank:
         """Store indices of candidate ``S_μ`` for guess index ``guess``, ascending."""
         return self.members[guess, : self.sizes[guess]]
 
-    def accept_mask(self, D: np.ndarray, mus: np.ndarray, pos: np.ndarray | None = None) -> np.ndarray:
+    def _lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """The non-full guesses and their member lists, cut to the longest one."""
+        nonfull = np.flatnonzero(self.sizes < self.cap)
+        return nonfull, self.members[nonfull, : max(1, self.sizes[nonfull].max(initial=0))]
+
+    def view(self) -> KernelView:
+        """The :class:`KernelView` of the current candidates, rebuilt only
+        when ``sizes`` changed since the last call.
+
+        Keyed by the sizes, not by :meth:`add`, so that a write to
+        ``members`` and ``sizes`` from outside is seen too. Exact because
+        candidates only grow: equal sizes mean equal members. Copies and
+        pickles keep the view; it is O(G·cap) integers.
+        """
+        key = self.sizes.tobytes()
+        if self._view is None or self._view[0] != key:
+            nonfull, lists = self._lists()
+            cols = np.unique(lists)
+            cols = cols[cols >= 0]
+            idx = np.where(lists >= 0, np.searchsorted(cols, lists), len(cols))
+            self._view = key, KernelView(nonfull, cols, idx)
+        return self._view[1]
+
+    def accept_mask(self, D: np.ndarray, mus: np.ndarray, view: KernelView | None = None) -> np.ndarray:
         """``(G, elements)`` mask of the guesses that accept each element,
         Algorithm 1 line 5: ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``.
 
         Column e of ``D`` holds element e's distances to the store, one per
         stored row, then ``+inf``. The ``-1`` padding reads the ``+inf``, so
-        ``d(x, ∅) = ∞`` and an empty candidate accepts. Given ``pos``,
-        the distances to stored row j are ``D[pos[j]]`` and the ``+inf`` is
-        ``D[pos[-1]]``.
+        ``d(x, ∅) = ∞`` and an empty candidate accepts. Given a ``view``
+        (:meth:`view`), ``D`` has one row per entry of ``view.cols`` instead,
+        then the ``+inf``, and ``view.idx`` indexes it.
         """
         out = np.zeros((len(mus), D.shape[1]), dtype=bool)
-        nonfull = np.flatnonzero(self.sizes < self.cap)
+        nonfull, idx = self._lists() if view is None else (view.nonfull, view.idx)
         if nonfull.size:
-            idx = self.members[nonfull, : max(1, self.sizes[nonfull].max())]
-            if pos is not None:
-                idx = pos[idx]
             out[nonfull] = D[idx].min(axis=1) >= mus[nonfull, None]
         return out
 
@@ -211,34 +248,37 @@ class StreamState:
         """The rejection kernel: False where no candidate of this state can accept a row.
 
         The blind bank sees every row, a group bank only the rows of its
-        group. A row is kept when the per-element test,
-        :meth:`CandidateBank.accept_mask`, accepts it at some guess of a bank
-        it sees. Distances come from :meth:`Metric.rows_to_rows`, only to
-        stored rows in some non-full candidate (``cols``, found through the
-        lookup ``pos``), row-blocked so the distance block and its gather
-        stay near ``BLOCK_BYTES``; ``rows_to_rows`` bounds its own
+        group, a slice of one stable sort of ``groups``. A row is kept when
+        the per-element test, :meth:`CandidateBank.accept_mask`, accepts it
+        at some guess of a bank it sees. Distances come from
+        :meth:`Metric.rows_to_rows`, only to the stored rows in some non-full
+        candidate (the bank's :meth:`CandidateBank.view`, kept between calls
+        while its sizes are unchanged), row-blocked so the distance block and
+        its gather stay near ``BLOCK_BYTES``; ``rows_to_rows`` bounds its own
         temporaries, as its docstring says.
         """
         store = self.feats
         out = np.zeros(len(feats), dtype=bool)
-        for grp, bank in self._banks():
-            rows = np.arange(len(feats)) if grp is None else np.flatnonzero(groups == grp)
-            nonfull = bank.sizes < bank.cap
-            if rows.size == 0 or not nonfull.any():
+        order = np.argsort(groups, kind="stable")
+        by_group = groups[order]
+        grps = np.fromiter(self.group_banks, np.int64, len(self.group_banks))
+        starts = np.searchsorted(by_group, grps).tolist()
+        ends = np.searchsorted(by_group, grps, side="right").tolist()
+        rows_of = [np.arange(len(feats)), *(order[a:b] for a, b in zip(starts, ends))]
+        for (_, bank), rows in zip(self._banks(), rows_of, strict=True):
+            if rows.size == 0:
                 continue
-            width = max(1, bank.sizes[nonfull].max())
-            cols = np.unique(bank.members[nonfull, :width])
-            cols = cols[cols >= 0]
-            pos = np.full(len(store) + 1, len(cols))  # pos[-1]: D's +inf row
-            pos[cols] = np.arange(len(cols))
-            A = store[cols]
-            per_row = 8 * max(len(cols) + 1, np.count_nonzero(nonfull) * width)  # a column of D, its gather
+            v = bank.view()
+            if v.nonfull.size == 0:
+                continue
+            A = store[v.cols]
+            per_row = 8 * max(len(v.cols) + 1, v.idx.size)  # a column of D, its gather
             step = max(1, BLOCK_BYTES // per_row)
             for lo in range(0, rows.size, step):
                 r = rows[lo : lo + step]
-                D = np.full((len(cols) + 1, r.size), np.inf)
+                D = np.full((len(v.cols) + 1, r.size), np.inf)
                 D[:-1] = self.metric.rows_to_rows(A, feats[r])
-                out[r] |= bank.accept_mask(D, self.mus, pos).any(axis=0)
+                out[r] |= bank.accept_mask(D, self.mus, v).any(axis=0)
         return out
 
     def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:

@@ -50,10 +50,6 @@ class Dataset:
     def metric(self):
         return get_metric(self.metric_name)
 
-    def group_counts(self) -> dict[int, int]:
-        g, c = np.unique(self.groups, return_counts=True)
-        return {int(a): int(b) for a, b in zip(g, c)}
-
     def to_pandas(self) -> pd.DataFrame:
         # tolist() yields plain Python floats so the frame round-trips through
         # Spark's non-Arrow createDataFrame path too (job sessions may not

@@ -1,12 +1,5 @@
-"""Diversity objective and brute-force oracles for tests.
-
-``div(S) = min_{x != y in S} d(x, y)`` (max-min dispersion). The brute-force
-oracles enumerate all (fair) size-k subsets and are only usable for tiny
-instances; tests use them to verify every algorithm's approximation bound.
-"""
+"""Diversity objective: ``div(S) = min_{x != y in S} d(x, y)`` (max-min dispersion)."""
 from __future__ import annotations
-
-from itertools import combinations, product
 
 import numpy as np
 
@@ -21,44 +14,3 @@ def div(points: np.ndarray, metric: Metric) -> float:
     D = metric.pairwise(pts, pts)
     iu = np.triu_indices(len(pts), k=1)
     return float(D[iu].min())
-
-
-def brute_opt(X: np.ndarray, k: int, metric: Metric) -> float:
-    """Exact OPT for unconstrained DM by exhaustive enumeration."""
-    n = len(X)
-    if k > n:
-        raise ValueError("k > n")
-    D = metric.pairwise(X, X)
-    best = 0.0
-    for comb in combinations(range(n), k):
-        idx = np.array(comb)
-        d = D[np.ix_(idx, idx)][np.triu_indices(k, k=1)].min()
-        if d > best:
-            best = float(d)
-    return best
-
-
-def brute_fair_opt(
-    X: np.ndarray, groups: np.ndarray, ks: dict[int, int], metric: Metric
-) -> float:
-    """Exact OPT_f for FDM: best div over all subsets with exactly k_i per group.
-
-    Returns 0.0 if no feasible subset exists (some group smaller than its quota).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    groups = np.asarray(groups)
-    D = metric.pairwise(X, X)
-    per_group: list[list[tuple[int, ...]]] = []
-    for g, kg in sorted(ks.items()):
-        members = np.flatnonzero(groups == g)
-        if len(members) < kg:
-            return 0.0
-        per_group.append([c for c in combinations(members.tolist(), kg)])
-    best = 0.0
-    for picks in product(*per_group):
-        idx = np.array([i for c in picks for i in c])
-        k = len(idx)
-        d = D[np.ix_(idx, idx)][np.triu_indices(k, k=1)].min() if k >= 2 else np.inf
-        if d > best:
-            best = float(d)
-    return best

@@ -11,9 +11,13 @@ production path to match these bit for bit. ``oracle_threshold_clusters``
 builds its matrix with ``Metric.pairwise``, as FairFlow does;
 ``oracle_clusters`` is ``threshold_clusters`` as it was before it took its
 pairs from the upper triangle alone.
+
+``brute_opt`` and ``brute_fair_opt`` are the exact OPT and OPT_f by
+exhaustive enumeration, for the approximation-bound tests on tiny instances.
 """
 import re
 from collections import deque
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from repro.core.sfdm1 import swap_balance
 from repro.core.sfdm2 import _greedy_maxmin_subset
 from repro.diversity import div
 from repro.matroid.partition import PartitionMatroid
+from repro.metrics import Metric
 
 
 def oracle_threshold_clusters(feats, metric, threshold):
@@ -267,3 +272,44 @@ def anytime_vs_cold(s, X, grp=None, n_pieces=6):
                     counts["group_grew"] += 1
         prev = (sizes, set(s._posted))
     return counts
+
+
+def brute_opt(X: np.ndarray, k: int, metric: Metric) -> float:
+    """Exact OPT for unconstrained DM by exhaustive enumeration."""
+    n = len(X)
+    if k > n:
+        raise ValueError("k > n")
+    D = metric.pairwise(X, X)
+    best = 0.0
+    for comb in combinations(range(n), k):
+        idx = np.array(comb)
+        d = D[np.ix_(idx, idx)][np.triu_indices(k, k=1)].min()
+        if d > best:
+            best = float(d)
+    return best
+
+
+def brute_fair_opt(
+    X: np.ndarray, groups: np.ndarray, ks: dict[int, int], metric: Metric
+) -> float:
+    """Exact OPT_f for FDM: best div over all subsets with exactly k_i per group.
+
+    Returns 0.0 if no feasible subset exists (some group smaller than its quota).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    groups = np.asarray(groups)
+    D = metric.pairwise(X, X)
+    per_group: list[list[tuple[int, ...]]] = []
+    for g, kg in sorted(ks.items()):
+        members = np.flatnonzero(groups == g)
+        if len(members) < kg:
+            return 0.0
+        per_group.append([c for c in combinations(members.tolist(), kg)])
+    best = 0.0
+    for picks in product(*per_group):
+        idx = np.array([i for c in picks for i in c])
+        k = len(idx)
+        d = D[np.ix_(idx, idx)][np.triu_indices(k, k=1)].min() if k >= 2 else np.inf
+        if d > best:
+            best = float(d)
+    return best

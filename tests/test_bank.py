@@ -391,6 +391,134 @@ def test_table2_configs_match_oracle(dataset, grouping, eps):
         assert np.array_equal(a.ids, b.ids) and a.mu == b.mu and a.diversity == b.diversity
 
 
+
+def _edge_stream(metric, seed):
+    """``_random_stream`` relabelled with the groups 11, 3 and 7, neither
+    contiguous nor sorted. Group 7 has rows only in [0, 1000) and
+    [4000, 4300), so whole kernel chunks and update pieces lack it. At row
+    3,000 it gets the rows ``far``, which fill every guess of its bank."""
+    X, _, ids = _random_stream(metric, seed)
+    g = np.random.default_rng(seed)
+    G = np.array([11, 3])[g.integers(0, 2, len(X))]
+    seven = np.r_[0:1000, 4000:4300]
+    G[seven[g.random(seven.size) < 0.3]] = 7
+    # Negative axes first: each is at least pi/2 from every angular row,
+    # whose features are >= 0, and 1,000 from every other row.
+    far = np.vstack([-np.eye(X.shape[1]), np.eye(X.shape[1])]) * 1000.0
+    X[3000 : 3000 + len(far)], G[3000 : 3000 + len(far)] = far, 7
+    return X, G, ids, far
+
+
+@pytest.mark.parametrize("caps", ["sfdm1", "sfdm2"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_kernel_group_sort_edge_cases_match_oracle(metric, caps):
+    X, G, ids, far = _edge_stream(metric, seed=3 + METRICS.index(metric))
+    met = get_metric(metric)
+    lo, hi = exact_extent(X[:400], met)
+    # The grid stops at the far rows' smallest gap, so they fill every guess.
+    gap = met.rows_to_rows(far, far)[~np.eye(len(far), dtype=bool)].min()
+    mus = guess_grid(lo, min(hi, gap), 0.15)
+    ks = {11: 2, 3: 3, 7: 1}
+    k = sum(ks.values())
+    group_caps = ks if caps == "sfdm1" else {g: k for g in ks}
+
+    def fresh():
+        return StreamState(met, mus, X.shape[1], k, group_caps=group_caps)
+
+    ref = fresh()
+    oracle_update(ref, X, G, ids)
+    assert 0 < ref.n_stored < len(X) // 10
+    assert (ref.group_banks[7].sizes == ref.group_banks[7].cap).all()
+    assert not (G[1000:3000] == 7).any() and not (G[4300:] == 7).any()
+    for piece in (1, 17, 500, 5000):
+        st = fresh()
+        for lo_ in range(0, len(X), piece):
+            st.update(X[lo_ : lo_ + piece], G[lo_ : lo_ + piece], ids[lo_ : lo_ + piece])
+        assert_same_state(st, ref)
+
+
+# -- the kernel view of a bank --------------------------------------------------
+
+def rebuilt_view(bank):
+    """The kernel view built from ``members`` with a dict lookup."""
+    nonfull = np.flatnonzero(bank.sizes < bank.cap)
+    lists = bank.members[nonfull, : max(1, bank.sizes[nonfull].max(initial=0))]
+    cols = np.unique(lists[lists >= 0])
+    pos = {j: i for i, j in enumerate(cols.tolist())}
+    idx = [[pos.get(j, len(cols)) for j in row] for row in lists.tolist()]
+    return nonfull, cols, np.array(idx, dtype=np.int64).reshape(lists.shape)
+
+
+def assert_view_current(bank):
+    v = bank.view()
+    for got, want in zip(v, rebuilt_view(bank), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def oracle_keep(st, feats, groups):
+    """Rows that ``oracle_accept`` accepts at some guess of the blind bank or
+    of their own group's bank."""
+    keep = []
+    for x, grp in zip(feats, groups.tolist()):
+        dists = st.metric.point_to_rows(x, st.feats)
+        banks = [st.blind, *([st.group_banks[grp]] if grp in st.group_banks else [])]
+        keep.append(any(oracle_accept(b, dists, st.mus, st.n_stored).any() for b in banks))
+    return np.array(keep)
+
+
+def test_view_is_kept_while_sizes_are_unchanged():
+    st, Xb, gb = _full_state_and_batch()
+    views = [bank.view() for _, bank in st._banks()]
+    st.keep_mask(Xb, gb)
+    for (_, bank), v in zip(st._banks(), views, strict=True):
+        assert bank.view() is v
+        assert_view_current(bank)
+
+
+def test_view_is_rebuilt_after_add_and_after_direct_writes():
+    # update() grows the banks through add(); oracle_update writes members
+    # and sizes directly.
+    st = make_state(mus=(1.0, 2.0, 4.0), k=3, caps={0: 2, 1: 2})
+    assert_view_current(st.blind)
+    for x, grp, write in [([0.0, 0.0], 0, StreamState.update), ([3.0, 0.0], 1, StreamState.update),
+                          ([0.0, 5.0], 0, oracle_update), ([9.0, 9.0], 1, oracle_update)]:
+        before = {id(bank): (bank.view(), bank.sizes.copy()) for _, bank in st._banks()}
+        write(st, np.array([x]), np.array([grp]))
+        for _, bank in st._banks():
+            view, sizes = before[id(bank)]
+            assert (bank.view() is view) == np.array_equal(bank.sizes, sizes)
+            assert_view_current(bank)
+    assert st.blind.sizes.tolist() == [3, 3, 3]  # each write grew the blind bank
+
+
+def test_kernel_with_a_kept_view_equals_a_cold_one_and_the_oracle():
+    X, G, ids = _random_stream("manhattan", seed=6, n=1000)
+    met = get_metric("manhattan")
+    st = StreamState(met, guess_grid(*exact_extent(X[:300], met), 0.15), X.shape[1], 9,
+                     group_caps={0: 9, 1: 9, 2: 9})
+    st.update(X[:200], G[:200], ids[:200])
+    Xb, gb = X[200:], G[200:]
+    cold = copy.deepcopy(st)
+    for _, bank in cold._banks():
+        bank._view = None
+    want = oracle_keep(st, Xb, gb)
+    assert want.any() and not want.all()
+    assert np.array_equal(st.keep_mask(Xb, gb), want)
+    assert np.array_equal(cold.keep_mask(Xb, gb), want)
+
+
+def test_copies_and_pickles_keep_the_view_and_the_kernel_result():
+    import pickle
+
+    st, Xb, gb = _full_state_and_batch()
+    want = st.keep_mask(Xb, gb)
+    for other in (copy.deepcopy(st), pickle.loads(pickle.dumps(st))):
+        for (_, a), (_, b) in zip(st._banks(), other._banks(), strict=True):
+            assert b._view[0] == a._view[0]
+            assert all(np.array_equal(x, y) for x, y in zip(a._view[1], b._view[1], strict=True))
+        assert np.array_equal(other.keep_mask(Xb, gb), want)
+
+
 # -- the store's distance matrix ----------------------------------------------
 
 def _distances_across_rounds(metric, caps, min_blocks=1):

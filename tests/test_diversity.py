@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.diversity import brute_fair_opt, brute_opt, div
+from repro.diversity import div
 from repro.metrics import get_metric
+from tests.post_oracle import brute_fair_opt, brute_opt
 
 MET = get_metric("euclidean")
 

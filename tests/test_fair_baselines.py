@@ -5,9 +5,10 @@ import pytest
 from repro.baselines.fair_flow import fair_flow
 from repro.baselines.fair_gmm import fair_gmm
 from repro.baselines.fair_swap import fair_swap
-from repro.diversity import brute_fair_opt, div
+from repro.diversity import div
 from repro.extent import exact_extent
 from repro.metrics import get_metric
+from tests.post_oracle import brute_fair_opt
 
 MET = get_metric("euclidean")
 

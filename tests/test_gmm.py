@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.gmm import gmm
-from repro.diversity import brute_opt, div
+from repro.diversity import div
 from repro.metrics import get_metric
+from tests.post_oracle import brute_opt
 
 MET = get_metric("euclidean")
 

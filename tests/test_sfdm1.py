@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from repro.core.sfdm1 import SFDM1
-from repro.diversity import brute_fair_opt, div
+from repro.diversity import div
 from repro.extent import exact_extent
 from repro.metrics import METRICS, get_metric
+from tests.post_oracle import brute_fair_opt
 
 MET = get_metric("euclidean")
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro._stream_common import make_algo
 from repro.datasets import blobs
-from repro.diversity import brute_fair_opt
 from repro.extent import exact_extent
 from repro.spark import streaming
 from repro.spark.streaming import (
@@ -21,6 +20,7 @@ from repro.spark.streaming import (
     run_streaming_fdm,
     write_stream_input,
 )
+from tests.post_oracle import brute_fair_opt
 
 FILE_CONTEXT_MANAGER = (
     "org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager"

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from repro.core.stream_dm import StreamingDM
-from repro.diversity import brute_opt, div
+from repro.diversity import div
 from repro.extent import exact_extent
 from repro.metrics import get_metric
+from tests.post_oracle import brute_opt
 
 MET = get_metric("euclidean")
 
