@@ -466,12 +466,23 @@ def oracle_keep(st, feats, groups):
     return np.array(keep)
 
 
+def _partly_full_state_and_batch():
+    """A state fed 200 rows, whose banks still have non-full guesses, and
+    800 more rows, of which the per-element test keeps some."""
+    X, G, ids = _random_stream("manhattan", seed=6, n=1000)
+    met = get_metric("manhattan")
+    st = StreamState(met, guess_grid(*exact_extent(X[:300], met), 0.15), X.shape[1], 9,
+                     group_caps={0: 9, 1: 9, 2: 9})
+    st.update(X[:200], G[:200], ids[:200])
+    return st, X[200:], G[200:]
+
+
 def test_view_is_kept_while_sizes_are_unchanged():
-    st, Xb, gb = _full_state_and_batch()
+    st, Xb, gb = _partly_full_state_and_batch()
     views = [bank.view() for _, bank in st._banks()]
     st.keep_mask(Xb, gb)
     for (_, bank), v in zip(st._banks(), views, strict=True):
-        assert bank.view() is v
+        assert v.nonfull.size and bank.view() is v
         assert_view_current(bank)
 
 
@@ -492,12 +503,7 @@ def test_view_is_rebuilt_after_add_and_after_direct_writes():
 
 
 def test_kernel_with_a_kept_view_equals_a_cold_one_and_the_oracle():
-    X, G, ids = _random_stream("manhattan", seed=6, n=1000)
-    met = get_metric("manhattan")
-    st = StreamState(met, guess_grid(*exact_extent(X[:300], met), 0.15), X.shape[1], 9,
-                     group_caps={0: 9, 1: 9, 2: 9})
-    st.update(X[:200], G[:200], ids[:200])
-    Xb, gb = X[200:], G[200:]
+    st, Xb, gb = _partly_full_state_and_batch()
     cold = copy.deepcopy(st)
     for _, bank in cold._banks():
         bank._view = None
@@ -510,8 +516,9 @@ def test_kernel_with_a_kept_view_equals_a_cold_one_and_the_oracle():
 def test_copies_and_pickles_keep_the_view_and_the_kernel_result():
     import pickle
 
-    st, Xb, gb = _full_state_and_batch()
+    st, Xb, gb = _partly_full_state_and_batch()
     want = st.keep_mask(Xb, gb)
+    assert want.any()
     for other in (copy.deepcopy(st), pickle.loads(pickle.dumps(st))):
         for (_, a), (_, b) in zip(st._banks(), other._banks(), strict=True):
             assert b._view[0] == a._view[0]
