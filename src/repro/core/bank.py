@@ -201,11 +201,11 @@ class StreamState:
 
         Raises ``ValueError``, before changing any state, when ``feats`` does
         not have ``dim`` columns or ``groups`` or ``ids`` is not one entry per
-        row; naming the first row whose stream id is not an integer; naming
-        the stream id of the first row with a NaN or infinite feature, or with
-        a group that is not an integer; or, when there are group banks, when
-        ``groups`` is missing or naming the first row whose group has no
-        bank, i.e. no quota.
+        row; naming the first row whose stream id is not an integer in
+        int64's range; naming the stream id of the first row with a NaN or
+        infinite feature, or with a group that is not an integer in int64's
+        range; or, when there are group banks, when ``groups`` is missing or
+        naming the first row whose group has no bank, i.e. no quota.
         """
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
@@ -222,14 +222,16 @@ class StreamState:
         for name, a in (("groups", groups), ("ids", ids)):
             if a.shape != (b,):
                 raise ValueError(f"{name} has shape {a.shape}, expected one entry for each of {b} rows")
-        r = _first_non_integer(ids)
+        r = _first_non_int64(ids)
         if r is not None:
-            raise ValueError(f"row {r} has stream id {float(ids[r])}, not an integer")
+            raise ValueError(f"row {r} has stream id {ids[r].item()}, not an integer in int64's range")
         ids = ids.astype(np.int64, copy=False)
         check_finite(feats, ids)
-        r = _first_non_integer(groups)
+        r = _first_non_int64(groups)
         if r is not None:
-            raise ValueError(f"stream id {int(ids[r])} has group {float(groups[r])}, not an integer")
+            raise ValueError(
+                f"stream id {int(ids[r])} has group {groups[r].item()}, not an integer in int64's range"
+            )
         groups = groups.astype(np.int64, copy=False)
         if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
             r = np.flatnonzero(~np.isin(groups, list(self.group_banks)))[0]
@@ -350,11 +352,15 @@ def check_finite(feats: np.ndarray, ids: np.ndarray) -> None:
         raise ValueError(f"stream id {int(ids[bad[0]])} has a non-finite feature")
 
 
-def _first_non_integer(a: np.ndarray) -> int | None:
-    """Index of the first entry of a float array that is not an integer
-    (int64 would truncate 0.5 to 0); None for other dtypes."""
-    if a.dtype.kind != "f":
+def _first_non_int64(a: np.ndarray) -> int | None:
+    """Index of the first entry that is not an integer in int64's range;
+    None when there is none. ``astype(np.int64)`` would truncate 0.5 to 0
+    and wrap 2**63 + 5 (as uint64) or 1e19 to a negative number."""
+    if a.dtype.kind == "f":
+        bad = (np.floor(a) != a) | ~((a >= -(2.0**63)) & (a < 2.0**63))
+    elif a.dtype.kind == "u":
+        bad = a > np.iinfo(np.int64).max
+    else:
         return None
-    bad = np.flatnonzero((np.floor(a) != a) | np.isinf(a))
+    bad = np.flatnonzero(bad)
     return int(bad[0]) if bad.size else None
-

@@ -84,27 +84,22 @@ class SFDM2(StreamingDM):
         groups = st.groups[s_all]
         D = st.distances()[np.ix_(s_all, s_all)]
         # local positions of the blind candidate within s_all (both ascending)
-        blind_local = np.searchsorted(s_all, blind).tolist()
+        blind_local = np.searchsorted(s_all, blind)
         # (1) initial partial solution: at most k_i per group from S_mu
-        init: set[int] = set()
-        for grp, kg in self.ks.items():
-            members = [x for x in blind_local if groups[x] == grp]
-            init.update(_greedy_maxmin_subset(D, members, kg))
+        init = np.sort(np.concatenate([
+            _greedy_maxmin_subset(D, blind_local[groups[blind_local] == grp].tolist(), kg)
+            for grp, kg in self.ks.items()
+        ]).astype(np.int64))
         # (2) clusters at threshold mu/(m+1)
         labels = threshold_clusters(D, mu / (m + 1))
         # Guard: Lemma 3(ii) promises S_mu hits each cluster at most once; an
-        # estimated extent grid can break the premise, so enforce I2 on init.
-        seen: set[int] = set()
-        init_ok: set[int] = set()
-        for x in sorted(init):
-            c = int(labels[x])
-            if c not in seen:
-                seen.add(c)
-                init_ok.add(x)
+        # estimated extent grid can break the premise, so enforce I2 on init
+        # by keeping the first (lowest) element of each cluster.
+        _, first = np.unique(labels[init], return_index=True)
         m1 = PartitionMatroid(groups, self.ks)
         m2 = PartitionMatroid(labels, 1)
         sol = max_common_independent_set(
-            m1, m2, init=init_ok, dist_matrix=D, target=k
+            m1, m2, init=set(init[first].tolist()), dist_matrix=D, target=k
         )
         if len(sol) != k:
             return None

@@ -197,7 +197,8 @@ def clamp_quotas(ks: dict[int, int], groups: np.ndarray) -> dict[int, int]:
 
     Full-scale datasets always satisfy equal/proportional quotas (the paper's
     setting); this only triggers in scaled-down debug/test runs where a tiny
-    skewed group can fall below ``k/m``.
+    skewed group can fall below ``k/m``. Raises ``ValueError`` when the
+    quota groups hold fewer than k rows in all.
     """
     uniq, counts = np.unique(groups, return_counts=True)
     size = {int(g): int(c) for g, c in zip(uniq, counts)}
@@ -206,7 +207,7 @@ def clamp_quotas(ks: dict[int, int], groups: np.ndarray) -> dict[int, int]:
     for g in sorted(out, key=lambda g: -(size.get(g, 0) - out[g])):
         if deficit == 0:
             break
-        take = min(deficit, size[g] - out[g])
+        take = min(deficit, size.get(g, 0) - out[g])
         out[g] += take
         deficit -= take
     if deficit:

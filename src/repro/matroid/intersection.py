@@ -22,12 +22,11 @@ from .partition import PartitionMatroid
 
 
 class _Counts:
-    """One partition matroid as arrays: each element's label index ``lab``,
-    and each label's ``cap`` and its count ``cnt`` in the current S."""
+    """The matroid's ``lab`` and ``cap``, and each label's count ``cnt`` in
+    the current S."""
 
     def __init__(self, m: PartitionMatroid, S: np.ndarray):
-        keys, self.lab = np.unique(m.labels, return_inverse=True)
-        self.cap = m.cap_array(keys)
+        self.lab, self.cap = m.lab, m.cap
         self.cnt = np.bincount(self.lab[S], minlength=len(self.cap))
 
     def room(self) -> np.ndarray:

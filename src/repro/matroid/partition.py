@@ -12,33 +12,26 @@ import numpy as np
 
 
 class PartitionMatroid:
-    """``S`` is independent iff ``|S ∩ {x: label(x)=l}| <= cap(l)`` for all l."""
+    """``S`` is independent iff ``|S ∩ {x: label(x)=l}| <= cap(l)`` for all l.
+
+    The constructor builds the dense form every reader uses: ``lab``, each
+    element's label as an index into the sorted distinct labels, and ``cap``,
+    one cap per distinct label (``caps`` itself when it is an int, else
+    ``caps.get(label, 0)``, so a label that ``caps`` does not name gets 0).
+    """
 
     def __init__(self, labels: np.ndarray, caps: dict[int, int] | int):
         self.labels = np.asarray(labels, dtype=np.int64)
+        keys, self.lab = np.unique(self.labels, return_inverse=True)
         if isinstance(caps, int):
-            self.caps = dict.fromkeys(np.unique(self.labels).tolist(), caps)
+            self.cap = np.full(len(keys), caps, dtype=np.int64)
         else:
-            self.caps = {int(l): int(c) for l, c in caps.items()}
-
-    def cap(self, label: int) -> int:
-        return self.caps.get(int(label), 0)
-
-    def cap_array(self, labels: np.ndarray) -> np.ndarray:
-        """``cap(l)`` for every l in the int array ``labels``, in one lookup."""
-        known = np.fromiter(self.caps, np.int64, len(self.caps))
-        caps = np.fromiter(self.caps.values(), np.int64, len(self.caps))
-        order = np.argsort(known)
-        # A trailing cap-0 sentinel catches labels past the largest known one.
-        known, caps = np.append(known[order], 0), np.append(caps[order], 0)
-        pos = np.searchsorted(known[:-1], labels)
-        return np.where(known[pos] == labels, caps[pos], 0)
+            caps = {int(l): int(c) for l, c in caps.items()}
+            self.cap = np.array([caps.get(l, 0) for l in keys.tolist()], dtype=np.int64)
 
     def is_independent(self, members: np.ndarray) -> bool:
-        labels, counts = np.unique(self.labels[members], return_counts=True)
-        return all(c <= self.cap(l) for l, c in zip(labels, counts))
+        return bool((np.bincount(self.lab[members], minlength=len(self.cap)) <= self.cap).all())
 
     def can_add(self, counts: dict[int, int], x: int) -> bool:
         """Whether adding element ``x`` keeps independence, given label counts."""
-        l = int(self.labels[x])
-        return counts.get(l, 0) < self.cap(l)
+        return bool(counts.get(int(self.labels[x]), 0) < self.cap[self.lab[x]])

@@ -2,9 +2,13 @@
 prefilter safety of the rejection kernel over an earlier state, and the
 kernel path against the per-element oracle."""
 import copy
+import functools
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.core.bank import StreamState
 from repro.extent import exact_extent
@@ -181,12 +185,17 @@ def kept_by_copy(st, feats, groups):
     return c.keep_mask(feats, groups)
 
 
-def _full_state_and_batch(seed=3, n_pre=150, n_batch=80):
+def _warm_state_and_batch(seed=3, n_pre=20, n_batch=80):
+    """A state whose every bank still has a non-full guess, so ``keep_mask``
+    computes distances rather than leaving at its "no non-full guess" exit,
+    and a batch of which it keeps some rows and rejects others."""
     g = np.random.default_rng(seed)
-    st = make_state(mus=(0.2, 0.4, 0.8, 1.6), k=4, caps={0: 2, 1: 2})
+    st = make_state(mus=(0.2, 0.4, 0.8, 1.6), k=12, caps={0: 6, 1: 6})
     Xp, gp = g.normal(size=(n_pre, 2)), g.integers(0, 2, n_pre)
     st.update(Xp, gp)
     Xb, gb = g.normal(size=(n_batch, 2)), g.integers(0, 2, n_batch)
+    assert all((bank.sizes < bank.cap).any() for _, bank in st._banks())
+    assert 0 < kept_by_copy(st, Xb, gb).sum() < n_batch
     return st, Xb, gb
 
 
@@ -198,26 +207,27 @@ def test_prefilter_empty_state_keeps_all():
 
 def test_prefilter_is_superset_of_accepted():
     # every element the exact sequential update would store must survive
-    st, Xb, gb = _full_state_and_batch()
+    st, Xb, gb = _warm_state_and_batch()
     keep = kept_by_copy(st, Xb, gb)
     # continue the *same* state and record which batch rows get stored
     before = st.n_stored
     ids = np.arange(1000, 1000 + len(Xb))
     st.update(Xb, gb, ids=ids)
     accepted_ids = set(st.ids[before:].tolist())
+    assert accepted_ids
     for r, eid in enumerate(ids.tolist()):
         if eid in accepted_ids:
             assert keep[r], f"row {r} accepted by exact update but prefiltered out"
 
 
 def test_prefilter_drops_something_once_warm():
-    st, Xb, gb = _full_state_and_batch()
+    st, Xb, gb = _warm_state_and_batch()
     keep = kept_by_copy(st, Xb, gb)
     assert keep.sum() < len(Xb)  # warm state rejects most of a random batch
 
 
 def test_snapshot_is_decoupled_from_state():
-    st, Xb, gb = _full_state_and_batch()
+    st, Xb, gb = _warm_state_and_batch()
     snap = st.snapshot()
     n0 = len(snap["feats"])
     st.update(Xb, gb)
@@ -240,7 +250,7 @@ def test_prefilter_keeps_exact_ties():
 
 
 def test_kernel_over_a_deep_copy_is_the_kernel_over_the_live_state():
-    st, Xb, gb = _full_state_and_batch()
+    st, Xb, gb = _warm_state_and_batch()
     want = st.keep_mask(Xb, gb)
     assert np.array_equal(kept_by_copy(st, Xb, gb), want)
 
@@ -303,10 +313,11 @@ def test_group_labels_free_without_group_banks():
     ((4, 2), [0, 1, 0, 1], [0.5, 1.5, 2.9, 3.2], "row 0 has stream id 0.5, not an integer"),
     ((4, 2), [0, 1, 0, 1], [100.0, 101.0, 102.5, np.nan], "row 2 has stream id 102.5"),
     ((4, 2), None, 4, "groups is missing"),
+    ((4, 2), [0, 1, 0, 1], np.array([100, 2**63 + 5, 7, 8], dtype=np.uint64),
+     "row 1 has stream id 9223372036854775813, not an integer in int64's range"),
+    ((4, 2), [0, 1, 0, 1], [100.0, 101.0, 1e19, 3.0], r"row 2 has stream id 1e\+19, not an integer"),
 ])
 def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match):
-    import pickle
-
     g = np.random.default_rng(5)
     st = make_state(caps={0: 2, 1: 2})
     st.update(g.normal(size=(10, 2)), g.integers(0, 2, 10))
@@ -316,6 +327,70 @@ def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match)
     with pytest.raises(ValueError, match=match):
         st.update(g.normal(size=feats) * 9, grp, ids)
     assert pickle.dumps(st) == before
+
+
+@pytest.mark.parametrize("dtype,edge,out", [
+    (np.uint64, 2**63 - 1, 2**63),
+    (np.float64, -(2.0**63), 2.0**63),
+])
+def test_ids_at_int64_edges(dtype, edge, out):
+    # ids at int64's edge are stored exactly; one past it is named, not wrapped
+    st = make_state(mus=(0.1,), k=10)
+    st.update(np.array([[0.0, 0.0], [5.0, 5.0]]), ids=np.array([3, edge], dtype=dtype))
+    assert st.ids.tolist() == [3, int(edge)]
+    with pytest.raises(ValueError, match="row 1 has stream id .*, not an integer in int64's range"):
+        st.update(np.array([[9.0, 0.0], [0.0, 9.0]]), ids=np.array([4, out], dtype=dtype))
+    assert st.n_seen == 2 and st.ids.tolist() == [3, int(edge)]
+
+
+@functools.cache
+def _warm_solver_pickle(cls):
+    g = np.random.default_rng(9)
+    s = cls("euclidean", ks={0: 2, 1: 2}, eps=0.2, d_min=0.05, d_max=8.0, dim=3)
+    s.update(g.normal(size=(200, 3)), g.integers(0, 2, 200))
+    return pickle.dumps(s)
+
+
+@pytest.mark.parametrize("algo", ["SFDM1", "SFDM2"])
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data())
+def test_a_rejected_update_changes_nothing(algo, data):
+    # Each update has valid rows around one defect; the rows before the
+    # defect are ones the solver would store, so a check made after them
+    # would show in the pickle.
+    from repro.core import sfdm1, sfdm2
+
+    s = pickle.loads(_warm_solver_pickle({"SFDM1": sfdm1.SFDM1, "SFDM2": sfdm2.SFDM2}[algo]))
+    before = pickle.dumps(s)
+    b = data.draw(hst.integers(1, 30), label="rows")
+    g = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+    X, grp, ids = g.normal(size=(b, 3)) * 9, g.integers(0, 2, b), np.arange(10_000, 10_000 + b)
+    r = data.draw(hst.integers(0, b - 1), label="bad row")
+    defect = data.draw(hst.sampled_from(
+        ["features", "non-finite", "fractional id", "float id range", "uint id range",
+         "no quota", "no groups"]), label="defect")
+    if defect == "features":
+        X = g.normal(size=(b, data.draw(hst.sampled_from([0, 1, 2, 4, 7]))))
+    elif defect == "non-finite":
+        X[r, data.draw(hst.integers(0, 2))] = data.draw(hst.sampled_from([np.nan, np.inf, -np.inf]))
+    elif defect == "fractional id":
+        ids = ids.astype(np.float64)
+        ids[r] = data.draw(hst.one_of(
+            hst.floats(-1e15, 1e15).filter(lambda v: not v.is_integer()), hst.just(np.nan)))
+    elif defect == "float id range":
+        ids = ids.astype(np.float64)
+        ids[r] = data.draw(hst.one_of(
+            hst.floats(min_value=2.0**63), hst.floats(max_value=-(2.0**63), exclude_max=True)))
+    elif defect == "uint id range":
+        ids = ids.astype(np.uint64)
+        ids[r] = data.draw(hst.integers(2**63, 2**64 - 1))
+    elif defect == "no quota":
+        grp[r] = data.draw(hst.integers(-(2**63), 2**63 - 1).filter(lambda v: v not in (0, 1)))
+    else:
+        grp = None
+    with pytest.raises(ValueError):
+        s.update(X, grp, ids)
+    assert pickle.dumps(s) == before
 
 
 def test_constructors_name_a_bad_dim_or_d_max():
@@ -514,8 +589,6 @@ def test_kernel_with_a_kept_view_equals_a_cold_one_and_the_oracle():
 
 
 def test_copies_and_pickles_keep_the_view_and_the_kernel_result():
-    import pickle
-
     st, Xb, gb = _partly_full_state_and_batch()
     want = st.keep_mask(Xb, gb)
     assert want.any()

@@ -169,6 +169,9 @@ def test_clamp_quotas_impossible_raises():
     grp = np.array([0, 1])
     with pytest.raises(ValueError, match="too small"):
         clamp_quotas({0: 5, 1: 5}, grp)
+    # a quota group with no rows at all
+    with pytest.raises(ValueError, match="too small"):
+        clamp_quotas({0: 2, 1: 2}, np.array([0, 0, 0]))
 
 
 # -- Spark + DuckDB oracle ----------------------------------------------------

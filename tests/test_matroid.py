@@ -93,22 +93,42 @@ def test_augmentation_property(seed):
         )
 
 
-def test_caps_lookup():
-    m = PartitionMatroid(np.array([0, 0, 0, 1, 1, 2]), {2: 1, 0: 2, 1: 5})
-    assert m.caps == {0: 2, 1: 5, 2: 1}
-    labels = np.array([3, 2, 1, 0, -1, 1])  # 3 and -1 have no cap
-    want = [m.cap(l) for l in labels]
-    assert want == [0, 1, 5, 2, 0, 5]
-    got = m.cap_array(labels)
-    assert got.dtype == np.int64 and got.tolist() == want
-    assert PartitionMatroid(np.array([0, 1]), {}).cap_array(labels).tolist() == [0] * 6
+def test_caps_by_label_index():
+    # lab indexes the sorted distinct labels; a label caps does not name gets 0
+    m = PartitionMatroid(np.array([5, 0, 0, 9, 1, 2, 1]), {2: 1, 0: 2, 1: 5, 7: 3})
+    assert m.lab.tolist() == [3, 0, 0, 4, 1, 2, 1]
+    assert m.cap.dtype == np.int64 and m.cap.tolist() == [2, 5, 1, 0, 0]
+    assert PartitionMatroid(np.array([0, 1]), {}).cap.tolist() == [0, 0]
+    assert not m.can_add({}, 0) and m.can_add({}, 1) and not m.can_add({}, 3)
+    assert not m.is_independent(np.array([0])) and m.is_independent(np.array([1, 2]))
 
 
-def test_uniform_cap_constructor():
-    m = PartitionMatroid(np.array([0, 1, 1, 2]), 1)
-    assert m.caps == {0: 1, 1: 1, 2: 1}
-    assert all(type(l) is int for l in m.caps)
-    assert m.cap_array(np.array([2, 1, 0, 7])).tolist() == [1, 1, 1, 0]
+def test_uniform_cap_applies_to_every_label():
+    m = PartitionMatroid(np.array([0, 1, 1, 2, -4]), 1)
+    assert m.cap.tolist() == [1, 1, 1, 1]
+    assert m.is_independent(np.array([0, 1, 3, 4])) and not m.is_independent(np.array([1, 2]))
+
+
+def test_numpy_int_cap_keys():
+    caps = {np.int64(0): np.int32(2), np.int8(3): 1}
+    m = PartitionMatroid(np.array([3, 0, 0, 0]), caps)
+    assert m.cap.tolist() == [2, 1]
+    assert m.can_add({0: 1}, 1) and not m.can_add({0: 2}, 1) and not m.can_add({3: 1}, 0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_is_independent_is_a_per_label_count(seed):
+    g = np.random.default_rng(seed)
+    n = int(g.integers(1, 40))
+    labels = g.integers(-3, int(g.integers(1, 12)), n)
+    caps = {int(l): int(g.integers(0, 4)) for l in range(-3, 12) if g.random() < 0.8}
+    for m, cap_of in ((PartitionMatroid(labels, caps), lambda l: caps.get(l, 0)),
+                      (PartitionMatroid(labels, 2), lambda l: 2)):
+        for _ in range(30):
+            members = np.flatnonzero(g.random(n) < g.random())
+            chosen = labels[members].tolist()
+            want = all(chosen.count(l) <= cap_of(l) for l in set(chosen))
+            assert m.is_independent(members) == want
 
 
 def test_can_add_respects_caps():
