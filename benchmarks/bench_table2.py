@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro._stream_common import make_algo
-from repro.datasets import adult_like, census_like, equal_quotas
+from repro.datasets import adult_like, census_like, equal_quotas, lyrics_like
 from repro.extent import estimate_extent
 from repro.harness.measures import run_algo
 
@@ -32,8 +32,10 @@ K = 20
 def _config(m):
     if m == 2:
         ds = adult_like(N, "sex")
+    elif m == 14:
+        ds = census_like(N, "sex+age")
     else:
-        ds = census_like(N, "sex+age")  # m = 14
+        ds = lyrics_like(N)  # m = 15
     ks = equal_quotas(K, ds.groups)
     return ds, ks
 
@@ -73,8 +75,9 @@ def _stream(algo, m):
 
 
 # m = 14 (Census, 25-d Manhattan, 14 groups) also tracks the rejection
-# kernel on its small per-group blocks.
-@pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14)])
+# kernel on its small per-group blocks; m = 15 (Lyrics, 50-d angular, 15
+# groups) the per-element test, a larger share of its stream phase.
+@pytest.mark.parametrize("algo,m", [("sfdm1", 2), ("sfdm2", 2), ("sfdm2", 14), ("sfdm2", 15)])
 def test_stream_phase(benchmark, algo, m):
     s = benchmark.pedantic(_stream(algo, m), rounds=1, iterations=1)
     assert s.state.n_stored > 0
