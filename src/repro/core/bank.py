@@ -7,15 +7,15 @@ One :class:`StreamState` holds
 * one or more :class:`CandidateBank` s — for each guess ``μ`` in the grid, a
   candidate subset of the store: a list of at most ``cap`` store indices,
   one row of a ``(G, cap)`` matrix padded with ``-1``. One gather of x's
-  distances to the store, followed by a ``+inf`` for the padding to read,
-  and one min give ``d(x, S_μ)`` for every guess at once.
+  distances to the members of the non-full candidates (a :class:`KernelView`),
+  then a ``+inf`` for the padding to read, and one min give ``d(x, S_μ)``.
 
 The update rule per element x (Algorithm 1, line 5): for each guess μ with
 ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``, add x to ``S_μ``. Acceptance is
 evaluated against the *blind* bank and the bank of x's own group only, exactly
-as in Algorithms 2/3. :meth:`StreamState.update` first drops, per chunk, the
-rows that :meth:`StreamState.keep_mask` shows no candidate can accept, then
-applies the rule to the rest in order.
+as in Algorithms 2/3, by :meth:`StreamState._accepts`. :meth:`StreamState.update`
+first drops, per chunk, the rows that :meth:`StreamState.keep_mask` shows no
+candidate can accept, then applies the rule to the rest in order.
 
 The state also keeps the store's distance matrix for SFDM2's post-processing
 (:meth:`StreamState.distances`). Only ``distances`` writes it, when a solve
@@ -37,7 +37,7 @@ _DIST_GROWTH = 1.25  # capacity step of the store's distance matrix
 
 
 class KernelView(NamedTuple):
-    """A bank's non-full candidates as the rejection kernel reads them.
+    """A bank's non-full candidates as the acceptance test reads them.
 
     ``nonfull`` are the guesses with ``|S_μ| < cap``; ``cols`` the sorted
     store indices of their members; ``idx[i]`` the member list of guess
@@ -66,19 +66,14 @@ class CandidateBank:
         self.sizes = np.zeros(n_guesses, dtype=np.int64)
         self._view: tuple[bytes, KernelView] | None = None  # (sizes.tobytes(), view)
 
-    def add(self, acc: np.ndarray, j: int) -> None:
-        """Append store index ``j`` to the candidates of the guesses ``acc`` marks."""
-        self.members[acc, self.sizes[acc]] = j
-        self.sizes[acc] += 1
+    def add(self, guesses: np.ndarray, j: int) -> None:
+        """Append store index ``j`` to the candidates of the guess indices ``guesses``."""
+        self.members[guesses, self.sizes[guesses]] = j
+        self.sizes[guesses] += 1
 
     def indices(self, guess: int) -> np.ndarray:
         """Store indices of candidate ``S_μ`` for guess index ``guess``, ascending."""
         return self.members[guess, : self.sizes[guess]]
-
-    def _lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """The non-full guesses and their member lists, cut to the longest one."""
-        nonfull = np.flatnonzero(self.sizes < self.cap)
-        return nonfull, self.members[nonfull, : max(1, self.sizes[nonfull].max(initial=0))]
 
     def view(self) -> KernelView:
         """The :class:`KernelView` of the current candidates, rebuilt only
@@ -91,28 +86,24 @@ class CandidateBank:
         """
         key = self.sizes.tobytes()
         if self._view is None or self._view[0] != key:
-            nonfull, lists = self._lists()
-            cols = np.unique(lists)
-            cols = cols[cols >= 0]
+            nonfull = np.flatnonzero(self.sizes < self.cap)
+            lists = self.members[nonfull, : max(1, self.sizes[nonfull].max(initial=0))]
+            cols = np.unique(lists[lists >= 0])
             idx = np.where(lists >= 0, np.searchsorted(cols, lists), len(cols))
             self._view = key, KernelView(nonfull, cols, idx)
         return self._view[1]
 
-    def accept_mask(self, D: np.ndarray, mus: np.ndarray, view: KernelView | None = None) -> np.ndarray:
-        """``(G, elements)`` mask of the guesses that accept each element,
-        Algorithm 1 line 5: ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``.
+    def accept_mask(self, D: np.ndarray, mus: np.ndarray, view: KernelView) -> np.ndarray:
+        """``(len(view.nonfull), elements)`` mask of the guesses that accept
+        each element, Algorithm 1 line 5: ``|S_μ| < cap``, which holds for
+        every guess of ``view.nonfull``, and ``d(x, S_μ) >= μ``.
 
-        Column e of ``D`` holds element e's distances to the store, one per
-        stored row, then ``+inf``. The ``-1`` padding reads the ``+inf``, so
-        ``d(x, ∅) = ∞`` and an empty candidate accepts. Given a ``view``
-        (:meth:`view`), ``D`` has one row per entry of ``view.cols`` instead,
-        then the ``+inf``, and ``view.idx`` indexes it.
+        Column e of ``D`` holds element e's distances to the rows
+        ``view.cols`` of the store, then ``+inf``, which the padding in
+        ``view.idx`` reads, so ``d(x, ∅) = ∞`` and an empty candidate
+        accepts.
         """
-        out = np.zeros((len(mus), D.shape[1]), dtype=bool)
-        nonfull, idx = self._lists() if view is None else (view.nonfull, view.idx)
-        if nonfull.size:
-            out[nonfull] = D[idx].min(axis=1) >= mus[nonfull, None]
-        return out
+        return D[view.idx].min(axis=1) >= mus[view.nonfull, None]
 
 
 class StreamState:
@@ -192,12 +183,10 @@ class StreamState:
         1. :meth:`keep_mask` rejects, in one vectorized pass, every row the
            start-of-chunk state rejects. Exactly safe: candidates only grow
            and ``d(x, S)`` only shrinks, so such a row is rejected forever.
-           The kernel computes distances with :meth:`Metric.rows_to_rows`,
-           the same arithmetic as ``point_to_rows``, so it never rejects a
-           row at a tie the per-element test would accept.
-        2. The survivors, counted in ``n_kept``, go through the exact
-           per-element test (``point_to_rows`` + ``accept_mask``) in stream
-           order.
+           Both steps make the test with :meth:`_accepts`, so the kernel
+           never rejects a row at a tie the per-element test would accept.
+        2. The survivors, counted in ``n_kept``, go through the same test
+           one row at a time (:meth:`_offer`), in stream order.
 
         Raises ``ValueError``, before changing any state, when ``feats`` does
         not have ``dim`` columns or ``groups`` or ``ids`` is not one entry per
@@ -224,13 +213,13 @@ class StreamState:
                 raise ValueError(f"{name} has shape {a.shape}, expected one entry for each of {b} rows")
         r = _first_non_int64(ids)
         if r is not None:
-            raise ValueError(f"row {r} has stream id {ids[r].item()}, not an integer in int64's range")
+            raise ValueError(f"row {r} has stream id {ids[r]}, not an integer in int64's range")
         ids = ids.astype(np.int64, copy=False)
         check_finite(feats, ids)
         r = _first_non_int64(groups)
         if r is not None:
             raise ValueError(
-                f"stream id {int(ids[r])} has group {groups[r].item()}, not an integer in int64's range"
+                f"stream id {int(ids[r])} has group {groups[r]}, not an integer in int64's range"
             )
         groups = groups.astype(np.int64, copy=False)
         if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
@@ -251,15 +240,8 @@ class StreamState:
 
         The blind bank sees every row, a group bank only the rows of its
         group, a slice of one stable sort of ``groups``. A row is kept when
-        the per-element test, :meth:`CandidateBank.accept_mask`, accepts it
-        at some guess of a bank it sees. Distances come from
-        :meth:`Metric.rows_to_rows`, only to the stored rows in some non-full
-        candidate (the bank's :meth:`CandidateBank.view`, kept between calls
-        while its sizes are unchanged), row-blocked so the distance block and
-        its gather stay near ``BLOCK_BYTES``; ``rows_to_rows`` bounds its own
-        temporaries, as its docstring says.
+        :meth:`_accepts` accepts it at some guess of a bank it sees.
         """
-        store = self.feats
         out = np.zeros(len(feats), dtype=bool)
         order = np.argsort(groups, kind="stable")
         by_group = groups[order]
@@ -268,35 +250,42 @@ class StreamState:
         ends = np.searchsorted(by_group, grps, side="right").tolist()
         rows_of = [np.arange(len(feats)), *(order[a:b] for a, b in zip(starts, ends))]
         for (_, bank), rows in zip(self._banks(), rows_of, strict=True):
-            if rows.size == 0:
-                continue
-            v = bank.view()
-            if v.nonfull.size == 0:
-                continue
-            A = store[v.cols]
-            per_row = 8 * max(len(v.cols) + 1, v.idx.size)  # a column of D, its gather
-            step = max(1, BLOCK_BYTES // per_row)
-            for lo in range(0, rows.size, step):
-                r = rows[lo : lo + step]
-                D = np.full((len(v.cols) + 1, r.size), np.inf)
-                D[:-1] = self.metric.rows_to_rows(A, feats[r])
-                out[r] |= bank.accept_mask(D, self.mus, v).any(axis=0)
+            if rows.size:
+                out[rows] |= self._accepts(bank, feats[rows])[1].any(axis=0)
         return out
 
+    def _accepts(self, bank: CandidateBank, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The bank's non-full guesses and the ``(guesses, rows)`` mask of
+        those that accept each row of ``X`` (:meth:`CandidateBank.accept_mask`).
+
+        Distances come from :meth:`Metric.rows_to_rows`, only to the rows of
+        the bank's :meth:`CandidateBank.view`, in row blocks that keep the
+        distance block and its gather near ``BLOCK_BYTES``.
+        """
+        v = bank.view()
+        if v.nonfull.size == 0:
+            return v.nonfull, np.zeros((0, len(X)), dtype=bool)
+        A = self.feats[v.cols]
+        per_row = 8 * max(len(v.cols) + 1, v.idx.size)  # a column of D, its gather
+        step = max(1, BLOCK_BYTES // per_row)
+        masks = []
+        for lo in range(0, len(X), step):
+            x = X[lo : lo + step]
+            D = np.empty((len(v.cols) + 1, len(x)))
+            D[:-1] = self.metric.rows_to_rows(A, x)
+            D[-1] = np.inf
+            masks.append(bank.accept_mask(D, self.mus, v))
+        return v.nonfull, np.concatenate(masks, axis=1)
+
     def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
-        """Algorithm 1, line 5 for one element, against the blind and own-group bank."""
-        D = np.append(self.metric.point_to_rows(x, self.feats), np.inf)[:, None]
-        acc_b = self.blind.accept_mask(D, self.mus)[:, 0]
-        gb = self.group_banks.get(grp)
-        acc_g = gb.accept_mask(D, self.mus)[:, 0] if gb is not None else None
-        took_b = bool(acc_b.any())
-        took_g = acc_g is not None and bool(acc_g.any())
-        if took_b or took_g:
+        """Algorithm 1, line 5 for one element: :meth:`_accepts` on the one
+        row against the blind and own-group bank; x joins the guesses that accept it."""
+        tests = [(bank, *self._accepts(bank, x[None]))
+                 for bank in (self.blind, self.group_banks.get(grp)) if bank is not None]
+        if any(mask.any() for _, _, mask in tests):
             j = self._append(x, grp, eid)
-            if took_b:
-                self.blind.add(acc_b, j)
-            if took_g:
-                gb.add(acc_g, j)
+            for bank, guesses, mask in tests:
+                bank.add(guesses[mask[:, 0]], j)
 
     # -- store distance matrix ------------------------------------------------
     def distances(self) -> np.ndarray:
@@ -360,7 +349,17 @@ def _first_non_int64(a: np.ndarray) -> int | None:
         bad = (np.floor(a) != a) | ~((a >= -(2.0**63)) & (a < 2.0**63))
     elif a.dtype.kind == "u":
         bad = a > np.iinfo(np.int64).max
+    elif a.dtype.kind == "O":  # e.g. a Python int beyond uint64's range
+        bad = [not _is_int64(v) for v in a.tolist()]
     else:
         return None
     bad = np.flatnonzero(bad)
     return int(bad[0]) if bad.size else None
+
+
+def _is_int64(v: object) -> bool:
+    """Whether ``v`` equals an integer in int64's range (``3.0`` does)."""
+    try:
+        return int(v) == v and -(2**63) <= int(v) < 2**63
+    except (TypeError, ValueError, OverflowError):
+        return False

@@ -16,23 +16,24 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from .core.bank import check_finite
 from .metrics import Metric
 
 LO_FACTOR, HI_FACTOR = 0.5, 2.0  # d_min is scaled down, d_max up
 
 
 def pair_extent(blocks: Iterable[np.ndarray]) -> tuple[float, float]:
-    """(min nonzero, max) over blocks of pair distances; NaN entries are not pairs.
+    """(min nonzero, max) over blocks of pair distances.
 
     Raises ``ValueError`` when no pair distance is nonzero: all points are
     identical, so ``d_min`` is undefined.
     """
     d_min, d_max = np.inf, 0.0
     for D in blocks:
-        nz = D[(D > 0) & ~np.isnan(D)]
+        nz = D[D > 0]
         if nz.size:
             d_min = min(d_min, float(nz.min()))
-        d_max = max(d_max, float(np.nanmax(D)))
+        d_max = max(d_max, float(D.max()))
     if not np.isfinite(d_min):
         raise ValueError("all points identical; d_min undefined")
     return d_min, d_max
@@ -50,10 +51,15 @@ def pair_blocks(X: np.ndarray, metric: Metric) -> Iterator[np.ndarray]:
 
 
 def exact_extent(X: np.ndarray, metric: Metric) -> tuple[float, float]:
-    """Exact (min nonzero, max) pairwise distance. O(n^2) — small n only."""
+    """Exact (min nonzero, max) pairwise distance. O(n^2) — small n only.
+
+    Raises ``ValueError`` when a row has a NaN or infinite feature, naming
+    the first such row by its index in ``X`` as its stream id.
+    """
     n = len(X)
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
+    check_finite(X, np.arange(n))
     return pair_extent(pair_blocks(X, metric))
 
 
@@ -78,5 +84,6 @@ def estimate_extent(
         d_min, d_max = exact_extent(X, metric)
     else:
         idx = np.random.default_rng(seed).choice(n, size=sample, replace=False)
+        check_finite(X[idx], idx)  # names the row by its index in X, not in the sample
         d_min, d_max = exact_extent(X[idx], metric)
     return d_min * LO_FACTOR, d_max * HI_FACTOR

@@ -6,7 +6,8 @@ vectorized forms:
 
 * ``rows_to_rows(X, A)`` -> (|X| x |A|) distances, the one arithmetic,
 * ``pairwise(A, B)`` -> the same matrix, under the name its callers use,
-* ``point_to_rows(x, A)`` -> (|A|,) distances from one point,
+* ``point_to_rows(x, A)`` -> (|A|,) distances from one point, the one
+  row of ``rows_to_rows`` (the stream phase calls ``rows_to_rows`` itself),
 * ``lower_blocks(X, lo)`` -> ``rows_to_rows(X, X)``'s lower triangle from row
   ``lo`` on, in row blocks,
 
@@ -67,7 +68,8 @@ class Metric:
         order, so ``rows_to_rows(X, A)[i, j]`` is bit-identical to
         ``point_to_rows(X[i], A[cols])`` at ``A[j]``'s position, for any
         ``cols``, and ``rows_to_rows(A, X)`` is its transpose bit for bit —
-        the stream phase, the store matrix and the extent scan rely on both
+        the stream phase (a bank's view of stored rows against one row or a
+        block of rows), the store matrix and the extent scan rely on both
         (see DESIGN.md §3). Outputs of more than one row and at least
         ``_PLANE_CELLS`` cells go through the plane kernel, whose buffers
         stay near ``BLOCK_BYTES``. The others build a

@@ -99,16 +99,18 @@ def write_stream_input(dataset: Dataset, path: str, *, n_files: int = 8) -> None
     import pyarrow.parquet as pq
 
     os.makedirs(path, exist_ok=True)
-    pdf = dataset.to_pandas()
-    bounds = np.linspace(0, len(pdf), n_files + 1, dtype=int)
+    groups = dataset.groups.astype(np.int64)
+    feats = np.ascontiguousarray(dataset.feats, dtype=np.float64)
+    bounds = np.linspace(0, dataset.n, n_files + 1, dtype=int)
     t0 = time.time_ns()
     for i in range(n_files):
-        chunk = pdf.iloc[bounds[i] : bounds[i + 1]]
-        table = pa.Table.from_pydict(
+        a, b = bounds[i], bounds[i + 1]
+        offsets = np.arange(b - a + 1, dtype=np.int32) * dataset.dim
+        table = pa.table(
             {
-                "id": chunk["id"].to_numpy(),
-                "group": chunk["group"].to_numpy(),
-                "features": list(chunk["features"]),
+                "id": np.arange(a, b, dtype=np.int64),
+                "group": groups[a:b],
+                "features": pa.ListArray.from_arrays(offsets, feats[a:b].ravel()),
             }
         )
         out = os.path.join(path, f"batch-{i:05d}.parquet")

@@ -316,6 +316,9 @@ def test_group_labels_free_without_group_banks():
     ((4, 2), [0, 1, 0, 1], np.array([100, 2**63 + 5, 7, 8], dtype=np.uint64),
      "row 1 has stream id 9223372036854775813, not an integer in int64's range"),
     ((4, 2), [0, 1, 0, 1], [100.0, 101.0, 1e19, 3.0], r"row 2 has stream id 1e\+19, not an integer"),
+    ((2, 2), [0, 1], [1, 2**64], "row 1 has stream id 18446744073709551616, not an integer in int64's range"),
+    ((2, 2), [0, 2**64], 2, "stream id 101 has group 18446744073709551616, not an integer in int64's range"),
+    ((2, 2), [0, 1], [1, -(2**63) - 1], "row 1 has stream id -9223372036854775809, not an integer"),
 ])
 def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match):
     g = np.random.default_rng(5)
@@ -368,7 +371,8 @@ def test_a_rejected_update_changes_nothing(algo, data):
     r = data.draw(hst.integers(0, b - 1), label="bad row")
     defect = data.draw(hst.sampled_from(
         ["features", "non-finite", "fractional id", "float id range", "uint id range",
-         "no quota", "no groups"]), label="defect")
+         "int id range", "int group range", "no quota", "no groups"]), label="defect")
+    beyond_int64 = hst.one_of(hst.integers(min_value=2**63), hst.integers(max_value=-(2**63) - 1))
     if defect == "features":
         X = g.normal(size=(b, data.draw(hst.sampled_from([0, 1, 2, 4, 7]))))
     elif defect == "non-finite":
@@ -384,6 +388,12 @@ def test_a_rejected_update_changes_nothing(algo, data):
     elif defect == "uint id range":
         ids = ids.astype(np.uint64)
         ids[r] = data.draw(hst.integers(2**63, 2**64 - 1))
+    elif defect == "int id range":
+        ids = ids.tolist()
+        ids[r] = data.draw(beyond_int64)
+    elif defect == "int group range":
+        grp = grp.tolist()
+        grp[r] = data.draw(beyond_int64)
     elif defect == "no quota":
         grp[r] = data.draw(hst.integers(-(2**63), 2**63 - 1).filter(lambda v: v not in (0, 1)))
     else:
@@ -597,6 +607,32 @@ def test_copies_and_pickles_keep_the_view_and_the_kernel_result():
             assert b._view[0] == a._view[0]
             assert all(np.array_equal(x, y) for x, y in zip(a._view[1], b._view[1], strict=True))
         assert np.array_equal(other.keep_mask(Xb, gb), want)
+
+
+def test_a_warm_update_measures_rows_against_views_only(monkeypatch):
+    # The kernel and the per-element test measure rows against the stored
+    # rows of a bank's view only, never against the whole store, which on
+    # this state is wider than every view.
+    st, Xb, gb = _partly_full_state_and_batch()
+    calls, point_calls = [], []
+    rows_to_rows, point_to_rows = Metric.rows_to_rows, Metric.point_to_rows
+
+    def spy(self, X, A):
+        widest = max(len(bank.view().cols) for _, bank in st._banks())
+        whole = any(len(a) == st.n_stored and np.array_equal(a, st.feats) for a in (X, A))
+        calls.append((st.n_stored, widest, whole))
+        return rows_to_rows(self, X, A)
+
+    monkeypatch.setattr(Metric, "rows_to_rows", spy)
+    monkeypatch.setattr(
+        Metric, "point_to_rows", lambda self, *a: (point_calls.append(1), point_to_rows(self, *a))[1]
+    )
+    before = st.n_stored
+    st.update(Xb, gb)
+    assert st.n_stored > before and calls
+    assert all(n > widest for n, widest, _ in calls)
+    assert not point_calls
+    assert not any(whole for _, _, whole in calls)
 
 
 # -- the store's distance matrix ----------------------------------------------

@@ -72,3 +72,32 @@ def test_estimate_positive_all_metrics(metric):
     X = g.random((200, 5)) + 0.01
     lo, hi = estimate_extent(X, get_metric(metric), sample=100)
     assert 0 < lo < hi
+
+
+@pytest.mark.parametrize("extent", [exact_extent, estimate_extent])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_rejected(extent, bad):
+    # a non-finite row is named, not left out of the pair scan
+    X = np.random.default_rng(5).normal(size=(50, 3))
+    X[17, 1] = bad
+    with pytest.raises(ValueError, match="stream id 17 has a non-finite feature"):
+        extent(X, MET)
+
+
+@pytest.mark.parametrize("extent", [exact_extent, estimate_extent])
+def test_all_but_two_rows_non_finite_rejected(extent):
+    # the only finite pair would otherwise set both ends of the extent
+    X = np.full((30, 3), np.nan)
+    X[[4, 20]] = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+    with pytest.raises(ValueError, match="stream id 0 has a non-finite feature"):
+        extent(X, MET)
+
+
+def test_sampled_extent_names_the_row_by_its_index_in_x():
+    # rows 150 on are non-finite; a sample of 50 that names a row by its
+    # place in the sample would name one below 50
+    X = np.random.default_rng(6).normal(size=(300, 3))
+    X[150:, 2] = np.nan
+    with pytest.raises(ValueError, match="has a non-finite feature") as err:
+        estimate_extent(X, MET, sample=50)
+    assert int(str(err.value).split()[2]) >= 150

@@ -46,6 +46,23 @@ def test_write_stream_input_files(tmp_path):
     assert all(f.endswith(".parquet") for f in files)
 
 
+def test_write_stream_input_reads_back_as_the_dataset(tmp_path):
+    # the files, in name order, hold the rows in stream order as the
+    # dataset's ids, groups and features, in the stream's schema
+    ds = blobs(103, 3, seed=4)
+    path = str(tmp_path / "in")
+    write_stream_input(ds, path, n_files=5)
+    tables = [pq.read_table(os.path.join(path, f)) for f in sorted(os.listdir(path))]
+    assert [t.num_rows for t in tables] == [20, 21, 20, 21, 21]
+    t = pa.concat_tables(tables)
+    assert t.column_names == ["id", "group", "features"]
+    assert t.schema.field("features").type == pa.list_(pa.float64())
+    assert np.array_equal(t.column("id").to_numpy(), np.arange(ds.n))
+    assert np.array_equal(t.column("group").to_numpy(), ds.groups)
+    feats = np.array(t.column("features").to_pylist())
+    assert feats.dtype == np.float64 and np.array_equal(feats, ds.feats)
+
+
 def test_write_stream_input_mtimes_follow_stream_order(tmp_path):
     # the file source orders by mtime in ms; ties are read in arbitrary order
     path = str(tmp_path / "in")
