@@ -280,12 +280,16 @@ class StreamState:
     def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
         """Algorithm 1, line 5 for one element: :meth:`_accepts` on the one
         row against the blind and own-group bank; x joins the guesses that accept it."""
-        tests = [(bank, *self._accepts(bank, x[None]))
-                 for bank in (self.blind, self.group_banks.get(grp)) if bank is not None]
-        if any(mask.any() for _, _, mask in tests):
+        takes = []
+        for bank in (self.blind, self.group_banks.get(grp)):
+            if bank is not None:
+                guesses, mask = self._accepts(bank, x[None])
+                if mask.any():
+                    takes.append((bank, guesses[mask[:, 0]]))
+        if takes:
             j = self._append(x, grp, eid)
-            for bank, guesses, mask in tests:
-                bank.add(guesses[mask[:, 0]], j)
+            for bank, guesses in takes:
+                bank.add(guesses, j)
 
     # -- store distance matrix ------------------------------------------------
     def distances(self) -> np.ndarray:
@@ -350,16 +354,9 @@ def _first_non_int64(a: np.ndarray) -> int | None:
     elif a.dtype.kind == "u":
         bad = a > np.iinfo(np.int64).max
     elif a.dtype.kind == "O":  # e.g. a Python int beyond uint64's range
-        bad = [not _is_int64(v) for v in a.tolist()]
+        bad = [not (-(2**63) <= v < 2**63 and v == int(v)) for v in a.tolist()]
     else:
         return None
     bad = np.flatnonzero(bad)
     return int(bad[0]) if bad.size else None
 
-
-def _is_int64(v: object) -> bool:
-    """Whether ``v`` equals an integer in int64's range (``3.0`` does)."""
-    try:
-        return int(v) == v and -(2**63) <= int(v) < 2**63
-    except (TypeError, ValueError, OverflowError):
-        return False
