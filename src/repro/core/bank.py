@@ -24,6 +24,7 @@ candidates, and the matrix's cost falls in post-processing, as in the paper.
 """
 from __future__ import annotations
 
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -353,8 +354,8 @@ def _first_non_int64(a: np.ndarray) -> int | None:
         bad = (np.floor(a) != a) | ~((a >= -(2.0**63)) & (a < 2.0**63))
     elif a.dtype.kind == "u":
         bad = a > np.iinfo(np.int64).max
-    elif a.dtype.kind == "O":  # e.g. a Python int beyond uint64's range
-        bad = [not (-(2**63) <= v < 2**63 and v == int(v)) for v in a.tolist()]
+    elif a.dtype.kind == "O":  # e.g. a Python int beyond uint64's range, or None
+        bad = [not (isinstance(v, Real) and -(2**63) <= v < 2**63 and v == int(v)) for v in a.tolist()]
     else:
         return None
     bad = np.flatnonzero(bad)

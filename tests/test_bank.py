@@ -319,6 +319,8 @@ def test_group_labels_free_without_group_banks():
     ((2, 2), [0, 1], [1, 2**64], "row 1 has stream id 18446744073709551616, not an integer in int64's range"),
     ((2, 2), [0, 2**64], 2, "stream id 101 has group 18446744073709551616, not an integer in int64's range"),
     ((2, 2), [0, 1], [1, -(2**63) - 1], "row 1 has stream id -9223372036854775809, not an integer"),
+    ((2, 2), [0, 1], [1, None], "row 1 has stream id None, not an integer in int64's range"),
+    ((2, 2), [None, 1], 2, "stream id 100 has group None, not an integer in int64's range"),
 ])
 def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match):
     g = np.random.default_rng(5)
