@@ -13,9 +13,11 @@ One :class:`StreamState` holds
 The update rule per element x (Algorithm 1, line 5): for each guess μ with
 ``|S_μ| < cap`` and ``d(x, S_μ) >= μ``, add x to ``S_μ``. Acceptance is
 evaluated against the *blind* bank and the bank of x's own group only, exactly
-as in Algorithms 2/3, by :meth:`StreamState._accepts`. :meth:`StreamState.update`
-first drops, per chunk, the rows that :meth:`StreamState.keep_mask` shows no
-candidate can accept, then applies the rule to the rest in order.
+as in Algorithms 2/3, by :meth:`CandidateBank.accept_mask`.
+:meth:`StreamState.update` computes, per chunk, each row's ``d(x, S_μ)`` at
+the chunk's start, drops the rows that no candidate can accept (the kernel,
+:meth:`StreamState.keep_mask`), then applies the rule to the rest in order,
+keeping their ``d(x, S_μ)`` as a running minimum over the rows stored since.
 
 The state also keeps the store's distance matrix for SFDM2's post-processing
 (:meth:`StreamState.distances`). Only ``distances`` writes it, when a solve
@@ -94,17 +96,14 @@ class CandidateBank:
             self._view = key, KernelView(nonfull, cols, idx)
         return self._view[1]
 
-    def accept_mask(self, D: np.ndarray, mus: np.ndarray, view: KernelView) -> np.ndarray:
-        """``(len(view.nonfull), elements)`` mask of the guesses that accept
-        each element, Algorithm 1 line 5: ``|S_μ| < cap``, which holds for
-        every guess of ``view.nonfull``, and ``d(x, S_μ) >= μ``.
-
-        Column e of ``D`` holds element e's distances to the rows
-        ``view.cols`` of the store, then ``+inf``, which the padding in
-        ``view.idx`` reads, so ``d(x, ∅) = ∞`` and an empty candidate
+    def accept_mask(self, M: np.ndarray, mus: np.ndarray, nonfull: np.ndarray) -> np.ndarray:
+        """``(len(nonfull), elements)`` mask of the guesses ``nonfull`` that
+        accept each element, Algorithm 1 line 5: ``|S_μ| < cap`` and
+        ``d(x, S_μ) >= μ``, where ``M[i, e]`` is element e's ``d(x, S_μ)``
+        for guess ``nonfull[i]``, ``∞`` for an empty candidate, which
         accepts.
         """
-        return D[view.idx].min(axis=1) >= mus[view.nonfull, None]
+        return (M >= mus[nonfull, None]) & (self.sizes[nonfull, None] < self.cap)
 
 
 class StreamState:
@@ -138,7 +137,7 @@ class StreamState:
         self._ids = np.zeros(cap0, dtype=np.int64)
         self.n_stored = 0
         self.n_seen = 0
-        self.n_kept = 0  # rows keep_mask passed to the per-element test
+        self.n_kept = 0  # rows the kernel passed to the per-element test
         # Store distance matrix: its first _n_dist rows and columns hold
         # rows_to_rows(feats, feats); the rest of the buffer is unset.
         self._dist = np.empty((0, 0))
@@ -179,15 +178,18 @@ class StreamState:
     ) -> None:
         """Process a piece of the stream in order (chunking never changes state).
 
-        Two steps per internal chunk of ``_CHUNK`` rows:
+        Two steps per internal chunk of ``_CHUNK`` rows (:meth:`_chunk`):
 
-        1. :meth:`keep_mask` rejects, in one vectorized pass, every row the
-           start-of-chunk state rejects. Exactly safe: candidates only grow
-           and ``d(x, S)`` only shrinks, so such a row is rejected forever.
-           Both steps make the test with :meth:`_accepts`, so the kernel
-           never rejects a row at a tie the per-element test would accept.
-        2. The survivors, counted in ``n_kept``, go through the same test
-           one row at a time (:meth:`_offer`), in stream order.
+        1. The kernel (:meth:`keep_mask`) computes, in one vectorized pass,
+           each row's ``d(x, S_μ)`` against the start-of-chunk candidates
+           and rejects every row they reject. Exactly safe: candidates only
+           grow and ``d(x, S_μ)`` only shrinks, so such a row is rejected
+           forever.
+        2. The survivors, counted in ``n_kept``, are tested one row at a
+           time, in stream order, on those distances, each lowered by the
+           rows stored into its candidates since. Both steps compare with
+           :meth:`CandidateBank.accept_mask`, so the kernel never rejects a
+           row at a tie the second step would accept.
 
         Raises ``ValueError``, before changing any state, when ``feats`` does
         not have ``dim`` columns or ``groups`` or ``ids`` is not one entry per
@@ -212,15 +214,15 @@ class StreamState:
         for name, a in (("groups", groups), ("ids", ids)):
             if a.shape != (b,):
                 raise ValueError(f"{name} has shape {a.shape}, expected one entry for each of {b} rows")
-        r = _first_non_int64(ids)
-        if r is not None:
-            raise ValueError(f"row {r} has stream id {ids[r]}, not an integer in int64's range")
+        bad = _first_non_int64(ids)
+        if bad is not None:
+            raise ValueError(f"row {bad[0]} has stream id {bad[1]!r}, not an integer in int64's range")
         ids = ids.astype(np.int64, copy=False)
         check_finite(feats, ids)
-        r = _first_non_int64(groups)
-        if r is not None:
+        bad = _first_non_int64(groups)
+        if bad is not None:
             raise ValueError(
-                f"stream id {int(ids[r])} has group {groups[r]}, not an integer in int64's range"
+                f"stream id {int(ids[bad[0]])} has group {bad[1]!r}, not an integer in int64's range"
             )
         groups = groups.astype(np.int64, copy=False)
         if self.group_banks and not self.group_banks.keys() >= set(np.unique(groups).tolist()):
@@ -229,68 +231,96 @@ class StreamState:
                 f"stream id {int(ids[r])} has group {int(groups[r])}, which has no quota"
             )
         for lo in range(0, b, _CHUNK):
-            X, G = feats[lo : lo + _CHUNK], groups[lo : lo + _CHUNK]
-            kept = lo + np.flatnonzero(self.keep_mask(X, G))
-            self.n_kept += kept.size
-            for r in kept:
-                self._offer(feats[r], int(groups[r]), int(ids[r]))
+            hi = lo + _CHUNK
+            self._chunk(feats[lo:hi], groups[lo:hi], ids[lo:hi])
         self.n_seen += b
 
     def keep_mask(self, feats: np.ndarray, groups: np.ndarray) -> np.ndarray:
         """The rejection kernel: False where no candidate of this state can accept a row.
 
-        The blind bank sees every row, a group bank only the rows of its
-        group, a slice of one stable sort of ``groups``. A row is kept when
-        :meth:`_accepts` accepts it at some guess of a bank it sees.
+        The kernel half of the chunk step, :meth:`_kernel`'s keep mask.
         """
-        out = np.zeros(len(feats), dtype=bool)
-        order = np.argsort(groups, kind="stable")
-        by_group = groups[order]
+        return self._kernel(feats, groups)[0]
+
+    def _kernel(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, list]:
+        """The keep mask of the rows ``X`` of groups ``G``, and per bank
+        that keeps a row, ``(bank, nonfull, rows, M)``.
+
+        The blind bank sees every row, a group bank only the rows of its
+        group, a slice of one stable sort of ``G``. For each row the bank
+        sees, ``d(x, S_μ)`` at each guess of ``nonfull``, its view's non-full
+        guesses, is the min over the member list of a gather of the row's
+        :meth:`Metric.rows_to_rows` distances to the view's stored rows,
+        with ``+inf`` for the padding, in row blocks that keep the distance
+        block and its gather near ``BLOCK_BYTES``. ``rows`` are the rows
+        that :meth:`CandidateBank.accept_mask` accepts at some guess, in
+        stream order, and ``M[:, e]`` is row ``rows[e]``'s ``d(x, S_μ)``. A
+        row is kept when a bank it sees keeps it.
+        """
+        keep = np.zeros(len(X), dtype=bool)
+        order = np.argsort(G, kind="stable")
+        by_group = G[order]
         grps = np.fromiter(self.group_banks, np.int64, len(self.group_banks))
         starts = np.searchsorted(by_group, grps).tolist()
         ends = np.searchsorted(by_group, grps, side="right").tolist()
-        rows_of = [np.arange(len(feats)), *(order[a:b] for a, b in zip(starts, ends))]
+        rows_of = [np.arange(len(X)), *(order[a:b] for a, b in zip(starts, ends))]
+        kept = []
         for (_, bank), rows in zip(self._banks(), rows_of, strict=True):
-            if rows.size:
-                out[rows] |= self._accepts(bank, feats[rows])[1].any(axis=0)
-        return out
+            v = bank.view()
+            if rows.size == 0 or v.nonfull.size == 0:
+                continue
+            A, x = self.feats[v.cols], X[rows]
+            step = max(1, BLOCK_BYTES // (8 * max(len(v.cols) + 1, v.idx.size)))  # per row: D, its gather
+            M = np.empty((len(v.nonfull), len(x)))
+            for lo in range(0, len(x), step):
+                D = np.empty((len(v.cols) + 1, len(x[lo : lo + step])))
+                D[:-1] = self.metric.rows_to_rows(A, x[lo : lo + step])
+                D[-1] = np.inf
+                M[:, lo : lo + step] = D[v.idx].min(axis=1)
+            hit = bank.accept_mask(M, self.mus, v.nonfull).any(axis=0)
+            if hit.any():
+                keep[rows[hit]] = True
+                kept.append((bank, v.nonfull, rows[hit], M[:, hit]))
+        return keep, kept
 
-    def _accepts(self, bank: CandidateBank, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The bank's non-full guesses and the ``(guesses, rows)`` mask of
-        those that accept each row of ``X`` (:meth:`CandidateBank.accept_mask`).
+    def _chunk(self, X: np.ndarray, G: np.ndarray, ids: np.ndarray) -> None:
+        """Algorithm 1, line 5 for each row of one chunk, in stream order.
 
-        Distances come from :meth:`Metric.rows_to_rows`, only to the rows of
-        the bank's :meth:`CandidateBank.view`, in row blocks that keep the
-        distance block and its gather near ``BLOCK_BYTES``.
+        :meth:`_kernel` gives each bank's ``d(x, S_μ)`` as of the chunk's
+        start for the rows it keeps. Each kept row, counted once in
+        ``n_kept``, is tested on its column of each such bank's ``M`` by
+        :meth:`CandidateBank.accept_mask`, whose size test drops the guesses
+        that filled since the chunk began. When the row is stored into
+        guesses A of a bank, one ``rows_to_rows`` from it to the bank's
+        later kept rows takes their ``M[A]`` down to the new ``d(x, S_μ)``:
+        ``min`` is exact, and a ``rows_to_rows`` entry depends on the pair
+        only, so each test is the one a row-at-a-time update would make. A
+        row a bank does not keep, it rejects for good: candidates only grow,
+        so ``d(x, S_μ)`` only shrinks.
         """
-        v = bank.view()
-        if v.nonfull.size == 0:
-            return v.nonfull, np.zeros((0, len(X)), dtype=bool)
-        A = self.feats[v.cols]
-        per_row = 8 * max(len(v.cols) + 1, v.idx.size)  # a column of D, its gather
-        step = max(1, BLOCK_BYTES // per_row)
-        masks = []
-        for lo in range(0, len(X), step):
-            x = X[lo : lo + step]
-            D = np.empty((len(v.cols) + 1, len(x)))
-            D[:-1] = self.metric.rows_to_rows(A, x)
-            D[-1] = np.inf
-            masks.append(bank.accept_mask(D, self.mus, v))
-        return v.nonfull, np.concatenate(masks, axis=1)
-
-    def _offer(self, x: np.ndarray, grp: int, eid: int) -> None:
-        """Algorithm 1, line 5 for one element: :meth:`_accepts` on the one
-        row against the blind and own-group bank; x joins the guesses that accept it."""
-        takes = []
-        for bank in (self.blind, self.group_banks.get(grp)):
-            if bank is not None:
-                guesses, mask = self._accepts(bank, x[None])
-                if mask.any():
-                    takes.append((bank, guesses[mask[:, 0]]))
-        if takes:
-            j = self._append(x, grp, eid)
-            for bank, guesses in takes:
-                bank.add(guesses, j)
+        keep, kept = self._kernel(X, G)
+        self.n_kept += np.count_nonzero(keep)
+        col = np.full((len(kept), len(X)), -1)  # a row's column in each bank's M, or -1
+        for t, (_, _, rows, _) in enumerate(kept):
+            col[t, rows] = np.arange(len(rows))
+        tests = [(bank, nonfull, X[rows], M) for bank, nonfull, rows, M in kept]
+        for r in np.flatnonzero(keep).tolist():
+            takes = []
+            for t in np.flatnonzero(col[:, r] >= 0).tolist():
+                bank, nonfull, _, M = tests[t]
+                c = col[t, r]
+                acc = bank.accept_mask(M[:, c, None], self.mus, nonfull)[:, 0]
+                if acc.any():
+                    takes.append((t, c, acc))
+            if takes:
+                j = self._append(X[r], int(G[r]), int(ids[r]))
+                for t, c, acc in takes:
+                    bank, nonfull, Xk, M = tests[t]
+                    bank.add(nonfull[acc], j)
+                    later = Xk[c + 1 :]
+                    if len(later):
+                        d = self.metric.rows_to_rows(X[r, None], later)
+                        M[acc, c + 1 :] = np.minimum(M[acc, c + 1 :], d)
 
     # -- store distance matrix ------------------------------------------------
     def distances(self) -> np.ndarray:
@@ -346,18 +376,24 @@ def check_finite(feats: np.ndarray, ids: np.ndarray) -> None:
         raise ValueError(f"stream id {int(ids[bad[0]])} has a non-finite feature")
 
 
-def _first_non_int64(a: np.ndarray) -> int | None:
-    """Index of the first entry that is not an integer in int64's range;
-    None when there is none. ``astype(np.int64)`` would truncate 0.5 to 0
-    and wrap 2**63 + 5 (as uint64) or 1e19 to a negative number."""
+def _first_non_int64(a: np.ndarray) -> tuple[int, object] | None:
+    """Index and value of the first entry that is not an integer in int64's
+    range; None when there is none. Only integer, float and object arrays
+    can hold integers: ``astype(np.int64)`` would parse strings, read bools
+    as 0 and 1 and drop an imaginary part, truncate 0.5 to 0, and wrap
+    2**63 + 5 (as uint64) or 1e19 to a negative number."""
+    if a.dtype.kind == "i":
+        return None
     if a.dtype.kind == "f":
         bad = (np.floor(a) != a) | ~((a >= -(2.0**63)) & (a < 2.0**63))
     elif a.dtype.kind == "u":
         bad = a > np.iinfo(np.int64).max
-    elif a.dtype.kind == "O":  # e.g. a Python int beyond uint64's range, or None
-        bad = [not (isinstance(v, Real) and -(2**63) <= v < 2**63 and v == int(v)) for v in a.tolist()]
-    else:
-        return None
+    elif a.dtype.kind == "O":  # e.g. a Python int beyond uint64's range, None or True
+        bad = [
+            isinstance(v, bool) or not (isinstance(v, Real) and -(2**63) <= v < 2**63 and v == int(v))
+            for v in a.tolist()
+        ]
+    else:  # bool, complex, string, bytes, date
+        bad = np.ones(len(a), dtype=bool)
     bad = np.flatnonzero(bad)
-    return int(bad[0]) if bad.size else None
-
+    return (int(bad[0]), a[bad[0] : bad[0] + 1].tolist()[0]) if bad.size else None

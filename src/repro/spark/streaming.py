@@ -5,9 +5,9 @@ micro-batches (``maxFilesPerTrigger=1`` + ``Trigger.AvailableNow``) and, in
 ``foreachBatch``, collects each micro-batch to the driver as one Arrow table
 and applies its rows, in stream-id order, to the driver-held
 :class:`~repro.core.bank.StreamState`. ``StreamState.update`` rejects each
-chunk with the exactly-safe :meth:`~repro.core.bank.StreamState.keep_mask`
-kernel before its per-element test, so the driver's kernel is the prefilter
-(DESIGN.md §3).
+chunk's rows with the exactly-safe :meth:`~repro.core.bank.StreamState.keep_mask`
+kernel and tests the survivors in order on the kernel's own distances, so
+the driver's kernel is the prefilter (DESIGN.md §3).
 
 The final state equals a sequential run over the rows in the order the
 micro-batches were processed. After the stream drains, the paper's

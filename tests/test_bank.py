@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.core.bank import StreamState
+from repro.core.bank import _CHUNK, StreamState
 from repro.extent import exact_extent
 from repro.guesses import guess_grid
 from repro.metrics import METRICS, Metric, get_metric
@@ -255,19 +255,25 @@ def test_kernel_over_a_deep_copy_is_the_kernel_over_the_live_state():
     assert np.array_equal(kept_by_copy(st, Xb, gb), want)
 
 
-def test_n_kept_counts_the_rows_offered(monkeypatch):
-    # n_kept is the number of rows keep_mask passes to the per-element test
-    offered = []
-    real = StreamState._offer
-    monkeypatch.setattr(
-        StreamState, "_offer", lambda self, *a: (offered.append(a[2]), real(self, *a))
-    )
+def test_n_kept_counts_the_rows_offered():
+    # n_kept is the number of rows the kernel passes to the per-element
+    # test: keep_mask's count over each chunk of each piece, on a copy of
+    # the state as of that chunk's start (a twin fed chunk by chunk)
     X, G, ids = _random_stream("euclidean", seed=5, n=3000)
-    st = StreamState(MET, guess_grid(*exact_extent(X[:300], MET), 0.15), X.shape[1], 6,
-                     group_caps={0: 2, 1: 2, 2: 2})
-    st.update(X[:1700], G[:1700], ids[:1700])
-    st.update(X[1700:], G[1700:], ids[1700:])
-    assert st.n_kept == len(offered)
+
+    def fresh():
+        return StreamState(MET, guess_grid(*exact_extent(X[:300], MET), 0.15), X.shape[1], 6,
+                           group_caps={0: 2, 1: 2, 2: 2})
+
+    st, twin, offered = fresh(), fresh(), 0
+    for lo, hi in [(0, 1700), (1700, 3000)]:
+        st.update(X[lo:hi], G[lo:hi], ids[lo:hi])
+        for a in range(lo, hi, _CHUNK):
+            b = min(a + _CHUNK, hi)
+            offered += int(kept_by_copy(twin, X[a:b], G[a:b]).sum())
+            twin.update(X[a:b], G[a:b], ids[a:b])
+    assert_same_state(st, twin)
+    assert st.n_kept == offered
     assert st.n_stored <= st.n_kept <= st.n_seen
     assert st.n_kept < st.n_seen  # the kernel rejected rows
 
@@ -321,6 +327,13 @@ def test_group_labels_free_without_group_banks():
     ((2, 2), [0, 1], [1, -(2**63) - 1], "row 1 has stream id -9223372036854775809, not an integer"),
     ((2, 2), [0, 1], [1, None], "row 1 has stream id None, not an integer in int64's range"),
     ((2, 2), [None, 1], 2, "stream id 100 has group None, not an integer in int64's range"),
+    ((2, 2), [0, 1], ["7", "8"], "row 0 has stream id '7', not an integer in int64's range"),
+    ((2, 2), [0, 1], ["1", "a"], "row 0 has stream id '1', not an integer in int64's range"),
+    ((2, 2), [0, 1], [True, False], "row 0 has stream id True, not an integer in int64's range"),
+    ((3, 2), [0, 1, 0], [1, True, None], "row 1 has stream id True, not an integer in int64's range"),
+    ((2, 2), [0, 1], [1 + 0j, 2 + 0j], r"row 0 has stream id \(1\+0j\), not an integer"),
+    ((2, 2), ["0", "1"], 2, "stream id 100 has group '0', not an integer in int64's range"),
+    ((2, 2), [False, True], 2, "stream id 100 has group False, not an integer in int64's range"),
 ])
 def test_mismatched_update_rejected_before_any_change(feats, groups, ids, match):
     g = np.random.default_rng(5)
@@ -522,6 +535,63 @@ def test_kernel_group_sort_edge_cases_match_oracle(metric, caps):
         for lo_ in range(0, len(X), piece):
             st.update(X[lo_ : lo_ + piece], G[lo_ : lo_ + piece], ids[lo_ : lo_ + piece])
         assert_same_state(st, ref)
+
+
+@pytest.mark.parametrize("caps", ["sfdm1", "sfdm2", "alg1"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_cold_chunk_matches_oracle(metric, caps):
+    # An empty state keeps every row of its first chunk, and stores many of
+    # them, so each stored row lowers the later survivors' d(x, S_μ) in the
+    # guesses that took it, and many guesses fill within the chunk.
+    X, G, ids = _random_stream(metric, seed=7 + METRICS.index(metric), n=_CHUNK)
+    met = get_metric(metric)
+    mus = guess_grid(*exact_extent(X, met), 0.1)
+    ks = {0: 10, 1: 15, 2: 5}
+    k = sum(ks.values())
+    group_caps = {"sfdm1": ks, "sfdm2": {g: k for g in ks}, "alg1": None}[caps]
+
+    def fresh():
+        return StreamState(met, mus, X.shape[1], k, group_caps=group_caps)
+
+    ref = fresh()
+    oracle_update(ref, X, G, ids)
+    assert ref.n_stored > 75
+    assert all((bank.sizes == bank.cap).any() for _, bank in ref._banks())
+    for piece in (1, 17, _CHUNK, 5000):
+        st = fresh()
+        for lo_ in range(0, len(X), piece):
+            st.update(X[lo_ : lo_ + piece], G[lo_ : lo_ + piece], ids[lo_ : lo_ + piece])
+        assert_same_state(st, ref)
+        if piece >= _CHUNK:
+            assert st.n_kept == len(X)
+
+
+def test_survivors_get_no_distance_call_of_their_own(monkeypatch):
+    # Over one chunk of a warm state, rows_to_rows runs the kernel's blocks,
+    # which keep_mask runs on a copy, and then at most one call per stored
+    # row and bank that took it, each from that row: not one per survivor.
+    st, Xb, gb = _partly_full_state_and_batch()
+    Xb, gb = Xb[:_CHUNK], gb[:_CHUNK]
+    calls = []
+    rows_to_rows = Metric.rows_to_rows
+    monkeypatch.setattr(
+        Metric, "rows_to_rows", lambda self, X, A: (calls.append((X, A)), rows_to_rows(self, X, A))[1]
+    )
+    copy.deepcopy(st).keep_mask(Xb, gb)
+    kernel, calls[:] = calls[:], []
+    before = {id(bank): bank.sizes.copy() for _, bank in st._banks()}
+    n, kept = st.n_stored, st.n_kept
+    st.update(Xb, gb)
+    survivors = st.n_kept - kept
+    takes = sum(np.unique(bank.members[bank.members >= n]).size for _, bank in st._banks())
+    assert len(calls) >= len(kernel)
+    for (X, A), (X0, A0) in zip(calls, kernel):
+        assert np.array_equal(X, X0) and np.array_equal(A, A0)
+    per_row = calls[len(kernel):]
+    assert 0 < len(per_row) <= takes < survivors
+    stored = {row.tobytes() for row in st.feats[n:]}
+    assert all(len(X) == 1 and X[0].tobytes() in stored for X, _ in per_row)
+    assert any(not np.array_equal(bank.sizes, before[id(bank)]) for _, bank in st._banks())
 
 
 # -- the kernel view of a bank --------------------------------------------------
