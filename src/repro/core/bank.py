@@ -244,18 +244,17 @@ class StreamState:
 
     def _kernel(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, list]:
         """The keep mask of the rows ``X`` of groups ``G``, and per bank
-        that keeps a row, ``(bank, nonfull, rows, M)``.
+        that keeps a row, ``(bank, nonfull, rows, M)``: ``rows`` are the
+        rows it keeps, in stream order, and ``M[i, e]`` is row ``rows[e]``'s
+        ``d(x, S_μ)`` at guess ``nonfull[i]``, the view's non-full guesses.
 
         The blind bank sees every row, a group bank only the rows of its
-        group, a slice of one stable sort of ``G``. For each row the bank
-        sees, ``d(x, S_μ)`` at each guess of ``nonfull``, its view's non-full
-        guesses, is the min over the member list of a gather of the row's
-        :meth:`Metric.rows_to_rows` distances to the view's stored rows,
-        with ``+inf`` for the padding, in row blocks that keep the distance
-        block and its gather near ``BLOCK_BYTES``. ``rows`` are the rows
-        that :meth:`CandidateBank.accept_mask` accepts at some guess, in
-        stream order, and ``M[:, e]`` is row ``rows[e]``'s ``d(x, S_μ)``. A
-        row is kept when a bank it sees keeps it.
+        group, a slice of one stable sort of ``G``. ``d(x, S_μ)`` is the min
+        over the member list of a gather of :meth:`Metric.rows_to_rows` to
+        the view's stored rows, with ``+inf`` for the padding, in row blocks
+        that keep the distance block and its gather near ``BLOCK_BYTES``. A
+        bank keeps the rows that :meth:`CandidateBank.accept_mask` accepts at
+        some guess.
         """
         keep = np.zeros(len(X), dtype=bool)
         order = np.argsort(G, kind="stable")
@@ -286,17 +285,13 @@ class StreamState:
     def _chunk(self, X: np.ndarray, G: np.ndarray, ids: np.ndarray) -> None:
         """Algorithm 1, line 5 for each row of one chunk, in stream order.
 
-        :meth:`_kernel` gives each bank's ``d(x, S_μ)`` as of the chunk's
-        start for the rows it keeps. Each kept row, counted once in
-        ``n_kept``, is tested on its column of each such bank's ``M`` by
-        :meth:`CandidateBank.accept_mask`, whose size test drops the guesses
-        that filled since the chunk began. When the row is stored into
-        guesses A of a bank, one ``rows_to_rows`` from it to the bank's
-        later kept rows takes their ``M[A]`` down to the new ``d(x, S_μ)``:
-        ``min`` is exact, and a ``rows_to_rows`` entry depends on the pair
-        only, so each test is the one a row-at-a-time update would make. A
-        row a bank does not keep, it rejects for good: candidates only grow,
-        so ``d(x, S_μ)`` only shrinks.
+        Each kept row is tested on its column of ``M`` in each bank that
+        kept it; the size test drops the guesses that filled since the chunk
+        began. When the row is stored into guesses A of a bank, one
+        ``rows_to_rows`` from it to the bank's later kept rows takes their
+        ``M[A]`` down to the new ``d(x, S_μ)``. Exact: ``min`` is, and a
+        ``rows_to_rows`` entry depends on the pair only, in either order, so
+        each test is the one a row-at-a-time update would make.
         """
         keep, kept = self._kernel(X, G)
         self.n_kept += np.count_nonzero(keep)
