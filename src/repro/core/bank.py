@@ -296,9 +296,10 @@ class StreamState:
         keep, kept = self._kernel(X, G)
         self.n_kept += np.count_nonzero(keep)
         col = np.full((len(kept), len(X)), -1)  # a row's column in each bank's M, or -1
-        for t, (_, _, rows, _) in enumerate(kept):
+        tests = []
+        for t, (bank, nonfull, rows, M) in enumerate(kept):
             col[t, rows] = np.arange(len(rows))
-        tests = [(bank, nonfull, X[rows], M) for bank, nonfull, rows, M in kept]
+            tests.append((bank, nonfull, X[rows], M))
         for r in np.flatnonzero(keep).tolist():
             takes = []
             for t in np.flatnonzero(col[:, r] >= 0).tolist():
